@@ -216,6 +216,9 @@ def _cmd_solve(args, parser):
         sys.stdout.write("\n")
     for note in result.warnings:
         print("warning: %s" % note, file=sys.stderr)
+    if result.termination == "diverged":
+        print("solver diverged: iterates became non-finite after %d "
+              "iterations" % result.iterations, file=sys.stderr)
     return 0 if result.termination == "converged" else 2
 
 

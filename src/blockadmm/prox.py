@@ -5,9 +5,9 @@ is
 
     prox_{t h}(v) = argmin_u  t * h(u) + (1/2) * ||u - v||^2 .
 
-Every term here is simple enough that its prox is available either in
-closed form or via a one-dimensional root-find, so block subproblem
-solvers can rely on exact prox evaluations.
+Every prox here is exact: a closed form, except for the groups of a
+group-l2-in-a-box term whose shrinkage leaves the box, which take a
+one-dimensional root-find (``_prox_ball_box``).
 
 Supported terms
 ---------------
@@ -93,119 +93,126 @@ def _check_groups(groups, weights):
     return norm_groups, w
 
 
-def _prox_ball_box_small(v, wt, lo, hi):
-    """Scalar-arithmetic version of :func:`_prox_ball_box` for short
-    vectors, where the array-op overhead of the bisection dominates."""
-    n = len(v)
-    if wt == 0.0:
-        return np.array([min(max(v[i], lo[i]), hi[i]) for i in range(n)])
-    if all(lo[i] <= 0.0 <= hi[i] for i in range(n)):
-        acc = 0.0
-        for i in range(n):
-            if lo[i] == 0.0 and hi[i] == 0.0:
-                r = 0.0
-            elif lo[i] == 0.0:
-                r = max(v[i], 0.0)
-            elif hi[i] == 0.0:
-                r = max(-v[i], 0.0)
-            else:
-                r = v[i]
-            acc += r * r
-        if acc <= wt * wt:
-            return np.zeros(n)
-    s_max_sq = 0.0
-    for i in range(n):
-        c = max(abs(lo[i]), abs(hi[i]))
-        s_max_sq += c * c
-    if s_max_sq == 0.0:
-        return np.array([min(max(v[i], lo[i]), hi[i]) for i in range(n)])
-    s_lo, s_hi = 0.0, math.sqrt(s_max_sq)
-    # Safeguarded Newton on phi(s) = ||clip(v*s/(s+wt))|| - s inside the
-    # bracket; fall back to the midpoint whenever the Newton candidate
-    # leaves the bracket.  phi has a single sign change on (0, s_max].
-    s = s_hi
+_TINY = np.finfo(float).tiny
+
+
+def _prox_ball_box(v, wt, lo, hi, starts, gid):
+    """Exact prox of sum_J wt_J * ||u_J||_2 + indicator of [lo, hi] at v.
+
+    Coordinates are laid out group by group: group J starts at
+    ``starts[J]`` and ``gid`` maps each coordinate to its group. Stage 1,
+    vectorised over all groups, takes the group shrinkage
+    v_J * max(0, 1 - wt_J / ||v_J||) wherever it lies in the box: a
+    feasible unconstrained minimizer is the constrained one. The groups
+    left go to :func:`_ball_box_group` in scalar arithmetic: they are few
+    and short, and on them NumPy's per-call overhead would cost several
+    times the arithmetic.
+    """
+    nrm = np.sqrt(np.add.reduceat(v * v, starts))
+    # max(nrm, wt, tiny) keeps the ratio exact where nrm > wt, equal to 1
+    # (the zero shrinkage) where nrm <= wt, and never divides by zero.
+    u = v * (1.0 - wt / np.maximum(nrm, np.maximum(wt, _TINY)))[gid]
+    inside = (lo <= u) & (u <= hi)
+    if np.count_nonzero(inside) == inside.size:
+        return u
+    left = np.flatnonzero(~np.logical_and.reduceat(inside, starts))
+    bounds = starts.tolist() + [v.size]
+    v, lo, hi, shrink, wt, nrm = (
+        x.tolist() for x in (v, lo, hi, u, wt, nrm))
+    for J in left.tolist():
+        a, b = bounds[J], bounds[J + 1]
+        u[a:b] = _ball_box_group(v[a:b], lo[a:b], hi[a:b], shrink[a:b],
+                                 wt[J], nrm[J])
+    return u
+
+
+def _ball_box_group(v, lo, hi, shrink, wt, nrm):
+    """Stages 2 and 3 of :func:`_prox_ball_box` for one group (lists)
+    whose shrinkage, of norm max(0, nrm - wt), left the box.
+
+    2. u = 0 iff 0 is in the box and the distance from v to the normal
+       cone of the box at 0 is at most wt.
+    3. Otherwise u = clip(v * s / (s + wt)) with s = ||u|| the single root
+       of phi(s) = ||clip(v * s / (s + wt))|| - s on [0, s_hi]:
+       s_hi = nrm - wt (the shrinkage norm, which clipping cannot
+       lengthen) when 0 is in the box, else nrm + ||clip(0)||. Newton
+       steps that leave the bracket fall back to its midpoint.
+    """
+    if all(l <= 0.0 <= h for l, h in zip(lo, hi)):
+        # distance to the normal cone at 0: |v_i| where 0 is inside,
+        # max(+-v_i, 0) at a bound 0, nothing where pinned at 0
+        dist2 = 0.0
+        for x, l, h in zip(v, lo, hi):
+            if l == 0.0:
+                x = 0.0 if h == 0.0 else max(x, 0.0)
+            elif h == 0.0:
+                x = min(x, 0.0)
+            dist2 += x * x
+        if dist2 <= wt * wt:
+            return [0.0] * len(v)
+        s_hi = nrm - wt
+    else:
+        s_hi = nrm + math.sqrt(
+            sum(min(max(0.0, l), h) ** 2 for l, h in zip(lo, hi)))
+    # Newton starts from the norm of the clipped shrinkage, which lies in
+    # the bracket and is the root when every coordinate ends up clipped.
+    s = math.sqrt(sum(min(max(x, l), h) ** 2
+                      for x, l, h in zip(shrink, lo, hi)))
+    s_lo = 0.0
+    # phi(s_lo) >= 0 >= phi(s_hi) throughout
     for _ in range(200):
-        f = s / (s + wt)
-        df = wt / ((s + wt) * (s + wt))
-        acc = 0.0
-        dacc = 0.0
-        for i in range(n):
-            u = v[i] * f
-            if u < lo[i]:
-                u = lo[i]
-            elif u > hi[i]:
-                u = hi[i]
+        sw = s + wt
+        f = s / sw if sw > 0.0 else 1.0
+        acc = dacc = 0.0
+        for x, l, h in zip(v, lo, hi):
+            c = x * f
+            if c < l:
+                c = l
+            elif c > h:
+                c = h
             else:
-                dacc += u * v[i]
-            acc += u * u
-        norm_u = math.sqrt(acc)
-        phi = norm_u - s
+                dacc += c * x
+            acc += c * c
+        norm_c = math.sqrt(acc)
+        phi = norm_c - s
         if phi > 0.0:
             s_lo = s
         else:
             s_hi = s
         if s_hi - s_lo <= 1e-16 * (1.0 + s_hi):
-            s = 0.5 * (s_lo + s_hi)
             break
-        dphi = (dacc * df / norm_u if norm_u > 0.0 else 0.0) - 1.0
+        # d||c||/ds sums over the unclipped coordinates only
+        dphi = (dacc * wt / (sw * sw * norm_c) if norm_c > 0.0 and sw > 0.0
+                else 0.0) - 1.0
         s_new = s - phi / dphi if dphi != 0.0 else -1.0
         if abs(s_new - s) <= 5e-16 * (1.0 + s) and s_lo <= s_new <= s_hi:
-            s = s_new
             break
-        if not (s_lo < s_new < s_hi):
-            s_new = 0.5 * (s_lo + s_hi)
-        s = s_new
-    f = s / (s + wt)
-    return np.array([min(max(v[i] * f, lo[i]), hi[i]) for i in range(n)])
+        s = s_new if s_lo < s_new < s_hi else 0.5 * (s_lo + s_hi)
+    # s is within the stopping tolerance of the root
+    return [min(max(x * f, l), h) for x, l, h in zip(v, lo, hi)]
 
 
-def _prox_ball_box(v, wt, lo, hi):
-    """Exact prox of wt * ||u||_2 + indicator of the box [lo, hi] at v.
-
-    Solves  min_u  wt * ||u|| + (1/2) * ||u - v||^2  s.t.  lo <= u <= hi.
-
-    For u != 0 the optimality condition rearranges to the fixed point
-    u = clip(v * s / (s + wt)) with s = ||u||, so it suffices to find the
-    positive root of phi(s) = ||clip(v * s / (s + wt))|| - s, which has a
-    single sign change on (0, s_max] with s_max the norm of the farthest
-    box corner.  u = 0 is optimal iff 0 lies in the box and the distance
-    from v to the normal cone of the box at 0 is at most wt.
+def _group_layout(box, group_l2):
+    """(order, inverse, starts, gid, weights, lo, hi) for
+    :func:`_prox_ball_box`: the coordinates group by group, then each
+    uncovered one as a singleton group of weight 0, whose prox is the clip.
     """
-    v = np.asarray(v, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if v.size <= 32:
-        return _prox_ball_box_small(v.tolist(), wt, lo.tolist(), hi.tolist())
-    if wt == 0.0:
-        return np.clip(v, lo, hi)
-    if np.all(lo <= 0.0) and np.all(hi >= 0.0):
-        # Distance from v to the normal cone of the box at 0, coordinatewise:
-        # free coordinate -> |v_i|; at a lower face -> max(v_i, 0);
-        # at an upper face -> max(-v_i, 0); pinned (lo=hi=0) -> 0.
-        at_lo = lo == 0.0
-        at_hi = hi == 0.0
-        resid = np.abs(v)
-        resid = np.where(at_lo & ~at_hi, np.maximum(v, 0.0), resid)
-        resid = np.where(at_hi & ~at_lo, np.maximum(-v, 0.0), resid)
-        resid = np.where(at_lo & at_hi, 0.0, resid)
-        if float(np.dot(resid, resid)) <= wt * wt:
-            return np.zeros_like(v)
-    s_max = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-    if s_max == 0.0:
-        return np.clip(v, lo, hi)
-    s_lo, s_hi = 0.0, s_max
-    # Invariant: phi(s_lo) >= 0 and phi(s_hi) <= 0.
-    for _ in range(200):
-        mid = 0.5 * (s_lo + s_hi)
-        u = np.clip(v * (mid / (mid + wt)), lo, hi)
-        if float(np.linalg.norm(u)) > mid:
-            s_lo = mid
-        else:
-            s_hi = mid
-        if s_hi - s_lo <= 1e-16 * (1.0 + s_hi):
-            break
-    s = 0.5 * (s_lo + s_hi)
-    return np.clip(v * (s / (s + wt)), lo, hi)
+    n = box.lo.size
+    group_l2.validate_dim(n)
+    groups = group_l2.groups
+    covered = np.array([i for J in groups for i in J], dtype=int)
+    uncovered = np.flatnonzero(np.bincount(covered, minlength=n) == 0)
+    order = np.concatenate([covered, uncovered])
+    sizes = np.array([J.size for J in groups] + [1] * uncovered.size)
+    return (
+        order,
+        np.argsort(order),
+        np.cumsum(sizes) - sizes,
+        np.repeat(np.arange(sizes.size), sizes),
+        np.concatenate([group_l2.weights, np.zeros(uncovered.size)]),
+        box.lo[order],
+        box.hi[order],
+    )
 
 
 class ProxTerm:
@@ -461,9 +468,10 @@ class Sum(ProxTerm):
     * ``BoxIndicator`` plus ``L1``: clamp the soft threshold. Each
       coordinate problem is one-dimensional and convex, so clamping the
       unconstrained minimizer into the interval is exact.
-    * ``BoxIndicator`` plus ``GroupL2``: exact groupwise prox via a
-      one-dimensional root-find on the shrinkage scale (see
-      ``_prox_ball_box``).
+    * ``BoxIndicator`` plus ``GroupL2``: one ``_prox_ball_box`` call for
+      all groups: the group shrinkage where it lies in the box, else a
+      zero test, else a safeguarded Newton root-find on the shrinkage
+      scale. Coordinates no group covers are clipped.
 
     Any other combination is rejected at construction.
     """
@@ -489,20 +497,8 @@ class Sum(ProxTerm):
                 % (kinds[0], kinds[1])
             )
         self.terms = terms
-        self._group_index = None
         if terms[0].kind == "box" and terms[1].kind == "group_l2":
-            # Contiguous groups index as slices (cheap views); a single
-            # group spanning every coordinate skips the box-only pass.
-            self._group_index = [
-                slice(J[0], J[-1] + 1)
-                if list(J) == list(range(J[0], J[-1] + 1)) else list(J)
-                for J in terms[1].groups
-            ]
-            n_box = terms[0].lo.size
-            self._one_full_group = (
-                len(self._group_index) == 1
-                and self._group_index[0] == slice(0, n_box)
-            )
+            self._layout = _group_layout(*terms)
 
     def value(self, x):
         return sum(t.value(x) for t in self.terms)
@@ -513,17 +509,12 @@ class Sum(ProxTerm):
         if first.kind == "linear":
             return second.prox(v - t * first.b, t)
         # first is the box
-        box = first
         if second.kind == "l1":
-            return np.clip(second.prox(v, t), box.lo, box.hi)
-        # group_l2: exact prox per group; uncovered coordinates are a
-        # pure box projection.
-        if self._one_full_group:
-            return _prox_ball_box(v, t * second.weights[0], box.lo, box.hi)
-        out = np.clip(v, box.lo, box.hi)
-        for J, w in zip(self._group_index, second.weights):
-            out[J] = _prox_ball_box(v[J], t * w, box.lo[J], box.hi[J])
-        return out
+            return np.clip(second.prox(v, t), first.lo, first.hi)
+        # group_l2: one kernel call over every group, in group order
+        order, inverse, starts, gid, weights, lo, hi = self._layout
+        return _prox_ball_box(v[order], t * weights, lo, hi, starts,
+                              gid)[inverse]
 
     def project_domain(self, v):
         out = np.asarray(v, dtype=float).copy()

@@ -102,7 +102,7 @@ class RunResult:
     x: np.ndarray
     y: np.ndarray
     iterations: int
-    termination: str            # converged | max_iters | non_monotone_warning
+    termination: str  # converged | max_iters | non_monotone_warning | diverged
     records: list
     final_alpha: float
     objective: float
@@ -460,99 +460,103 @@ def run(problem, config=None, init=None, **overrides):
     mu_prev = None
     d_cur = float("nan")
     pending = None
-    iterations = 0
     termination = "max_iters"
     r = 0
-    while True:
-        pg_norm = float(np.linalg.norm(
-            proximal_gradient(problem, x, y, rho)))
-        feas = float(np.linalg.norm(problem.apply_E(x) - problem.q))
-        if max(pg_norm, feas) <= config.tol_outer:
-            termination = "converged"
-            iterations = r
-            break
-        if r >= config.max_iters:
-            iterations = r
-            break
-        if pending is not None:
-            x_next, w = pending
-            pending = None
-        else:
-            x_next, w = primal(x, y)
-        L_val = augmented_lagrangian(problem, x_next, y, rho)
-        if variant == "jacobi_unsafe":
-            L_at_x = augmented_lagrangian(problem, x, y, rho)
-            if L_val > L_at_x + 1e-12 * (1.0 + abs(L_at_x)):
-                if not non_monotone:
-                    warnings.append(
-                        "augmented Lagrangian increased at iteration %d "
-                        "(undamped Jacobi)" % r
-                    )
-                non_monotone = True
-        res_next = problem.apply_E(x_next) - problem.q
-        if auto:
-            if mu_prev is None:
-                d_cur = dual_eval(y, x_next).d_value
-                mu_prev = L_val - 2.0 * d_cur
-            used_alpha = alpha
-            accepted = False
-            for attempt in range(7):
-                y_cand = y - used_alpha * res_next
-                x_next2, w2 = primal(x_next, y_cand)
-                d_cand = dual_eval(y_cand, x_next2).d_value
-                mu_cand = (augmented_lagrangian(problem, x_next2, y_cand, rho)
-                           - 2.0 * d_cand)
-                if mu_cand <= mu_prev + _MONITOR_SLACK:
-                    accepted = True
-                    break
-                if attempt < 6:
-                    used_alpha *= 0.5
-            if not accepted:
-                if not non_monotone:
-                    warnings.append(
-                        "combined gap still increased after 6 stepsize "
-                        "halvings at iteration %d" % r
-                    )
-                non_monotone = True
-            alpha = used_alpha
-            y_next = y_cand
-            pending = (x_next2, w2)
-            record_d = d_cur
-            mu_prev = mu_cand
-            d_cur = d_cand
-        else:
-            used_alpha = alpha
-            y_next = y - used_alpha * res_next
-            record_d = float("nan")
-        if r % config.trace_every == 0:
-            records.append(TraceRecord(
-                r=r,
-                L_val=L_val,
-                feas=feas,
-                step=float(np.linalg.norm(x_next - x)),
-                pg=pg_norm,
-                d_y=record_d,
-                f_val=objective(problem, x_next),
-                alpha=used_alpha,
-                x=x.copy(),
-                y=y.copy(),
-                x_next=x_next.copy(),
-                w=None if w is None else w.copy(),
-            ))
-        x, y = x_next, y_next
-        r += 1
-    if termination != "converged" and non_monotone:
-        termination = "non_monotone_warning"
-    return RunResult(
-        x=x,
-        y=y,
-        iterations=iterations,
-        termination=termination,
-        records=records,
-        final_alpha=alpha,
-        objective=objective(problem, x),
-        feas=float(np.linalg.norm(problem.apply_E(x) - problem.q)),
-        config=config,
-        beta=beta,
-        warnings=warnings,
-    )
+    # the finiteness check below reports a diverging run's overflow
+    with np.errstate(all="ignore"):
+        while True:
+            pg_norm = float(np.linalg.norm(
+                proximal_gradient(problem, x, y, rho)))
+            feas = float(np.linalg.norm(problem.apply_E(x) - problem.q))
+            if max(pg_norm, feas) <= config.tol_outer:
+                termination = "converged"
+                break
+            if r >= config.max_iters:
+                break
+            if pending is not None:
+                x_next, w = pending
+                pending = None
+            else:
+                x_next, w = primal(x, y)
+            L_val = augmented_lagrangian(problem, x_next, y, rho)
+            if variant == "jacobi_unsafe":
+                L_at_x = augmented_lagrangian(problem, x, y, rho)
+                if L_val > L_at_x + 1e-12 * (1.0 + abs(L_at_x)):
+                    if not non_monotone:
+                        warnings.append(
+                            "augmented Lagrangian increased at iteration %d "
+                            "(undamped Jacobi)" % r
+                        )
+                    non_monotone = True
+            res_next = problem.apply_E(x_next) - problem.q
+            if auto:
+                if mu_prev is None:
+                    d_cur = dual_eval(y, x_next).d_value
+                    mu_prev = L_val - 2.0 * d_cur
+                used_alpha = alpha
+                accepted = False
+                for attempt in range(7):
+                    y_cand = y - used_alpha * res_next
+                    x_next2, w2 = primal(x_next, y_cand)
+                    d_cand = dual_eval(y_cand, x_next2).d_value
+                    mu_cand = (augmented_lagrangian(problem, x_next2, y_cand,
+                                                    rho) - 2.0 * d_cand)
+                    if mu_cand <= mu_prev + _MONITOR_SLACK:
+                        accepted = True
+                        break
+                    if attempt < 6:
+                        used_alpha *= 0.5
+                if not accepted:
+                    if not non_monotone:
+                        warnings.append(
+                            "combined gap still increased after 6 stepsize "
+                            "halvings at iteration %d" % r
+                        )
+                    non_monotone = True
+                alpha = used_alpha
+                y_next = y_cand
+                pending = (x_next2, w2)
+                record_d = d_cur
+                mu_prev = mu_cand
+                d_cur = d_cand
+            else:
+                used_alpha = alpha
+                y_next = y - used_alpha * res_next
+                record_d = float("nan")
+            if not np.isfinite(x_next).all() or not np.isfinite(y_next).all():
+                termination = "diverged"
+                warnings.append("iterates became non-finite at iteration %d; "
+                                "the result holds the last finite one" % r)
+                break
+            if r % config.trace_every == 0:
+                records.append(TraceRecord(
+                    r=r,
+                    L_val=L_val,
+                    feas=feas,
+                    step=float(np.linalg.norm(x_next - x)),
+                    pg=pg_norm,
+                    d_y=record_d,
+                    f_val=objective(problem, x_next),
+                    alpha=used_alpha,
+                    x=x.copy(),
+                    y=y.copy(),
+                    x_next=x_next.copy(),
+                    w=None if w is None else w.copy(),
+                ))
+            x, y = x_next, y_next
+            r += 1
+        if termination == "max_iters" and non_monotone:
+            termination = "non_monotone_warning"
+        return RunResult(
+            x=x,
+            y=y,
+            iterations=r,
+            termination=termination,
+            records=records,
+            final_alpha=alpha,
+            objective=objective(problem, x),
+            feas=float(np.linalg.norm(problem.apply_E(x) - problem.q)),
+            config=config,
+            beta=beta,
+            warnings=warnings,
+        )

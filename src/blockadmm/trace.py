@@ -155,7 +155,7 @@ def states_path_for(trace_path):
 
 
 def _vec(a):
-    return None if a is None else [float(v) for v in np.asarray(a)]
+    return None if a is None else np.asarray(a, dtype=float).tolist()
 
 
 def write_states(records, path, meta=None):
@@ -170,8 +170,9 @@ def write_states(records, path, meta=None):
             "x_next": _vec(rec.x_next),
             "w": _vec(rec.w),
         })
+    # one encode and one write: json.dump streams many small writes
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 

@@ -100,3 +100,41 @@ def fd_gradient(f, x, step):
         e[i] = step
         g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
     return g
+
+
+def bisection_ball_box_prox(v, t, lo, hi, groups, weights, iters=200):
+    """Prox of t * sum_J w_J * ||u_J||_2 + indicator of [lo, hi] at v.
+
+    Plain bisection, group by group, with no closed form, zero test or
+    Newton step: for u != 0 the prox is the fixed point
+    u = clip(v_J * s / (s + t * w_J)) with s = ||u||, and
+    phi(s) = ||clip(v_J * s / (s + t * w_J))|| - s is >= 0 at s = 0 and
+    <= 0 at the norm of the farthest box corner, with one sign change in
+    between. When the prox is 0 the sign change sits at s = 0 and the
+    bisection shrinks s towards it. Coordinates outside every group are
+    clipped. The box must be bounded.
+    """
+    v = np.asarray(v, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    out = np.clip(v, lo, hi)
+    for J, w in zip(groups, weights):
+        J = np.asarray(J, dtype=int)
+        vj, lj, hj, tw = v[J], lo[J], hi[J], t * w
+
+        def clipped(s):
+            return np.clip(vj * (s / (s + tw)), lj, hj)
+
+        s_lo = 0.0
+        s_hi = float(np.linalg.norm(np.maximum(np.abs(lj), np.abs(hj))))
+        if s_hi == 0.0:
+            out[J] = 0.0
+            continue
+        for _ in range(iters):
+            mid = 0.5 * (s_lo + s_hi)
+            if np.linalg.norm(clipped(mid)) > mid:
+                s_lo = mid
+            else:
+                s_hi = mid
+        out[J] = clipped(0.5 * (s_lo + s_hi))
+    return out

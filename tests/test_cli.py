@@ -10,7 +10,12 @@ import pytest
 
 from blockadmm.cli import main
 from blockadmm.generators import gen_l1_kblock
-from blockadmm.problem import problem_from_doc
+from blockadmm.problem import (
+    Block,
+    build_problem,
+    problem_from_doc,
+    save_problem,
+)
 from blockadmm.solvers import run
 from blockadmm.trace import (
     CSV_COLUMNS,
@@ -109,6 +114,18 @@ def test_solve_exit_code_on_iteration_cap(tmp_path):
     assert json.loads(report.read_text())["termination"] == "max_iters"
 
 
+def test_solve_names_divergence(tmp_path, capsys):
+    prob = tmp_path / "d.json"
+    save_problem(build_problem([Block(E=[[1.0]])] * 3, q=[1.0]), str(prob))
+    report = tmp_path / "r.json"
+    rc = main(["solve", "--problem", str(prob), "--variant", "jacobi-unsafe",
+               "--alpha", "0.1", "--max-iters", "3000",
+               "--report", str(report)])
+    assert rc == 2
+    assert json.loads(report.read_text())["termination"] == "diverged"
+    assert "solver diverged" in capsys.readouterr().err
+
+
 def test_solve_rejects_bad_alpha(tmp_path, capsys):
     prob = _gen_kblock(tmp_path)
     with pytest.raises(SystemExit) as info:
@@ -156,6 +173,31 @@ def test_states_sidecar_round_trip(tmp_path):
         assert np.array_equal(orig.x_next, got.x_next)
         assert np.array_equal(orig.w, got.w)
         assert orig.alpha == got.alpha
+
+
+def test_states_sidecar_bytes_match_streamed_json(tmp_path):
+    # The sidecar format is json.dump of float lists plus a newline;
+    # readers outside the package parse exactly these bytes.
+    p = gen_l1_kblock(m=6, K=4, seed=0)
+    res = run(p, variant="jacobi", rho=1.0, alpha=0.1,
+              tol_outer=1e-13, max_iters=10)
+    res.records[0].x = res.records[0].x.astype(int)
+    res.records[1].w = None
+    meta = {"rho": 1.0, "variant": "jacobi", "beta": None}
+    path = tmp_path / "s.json"
+    write_states(res.records, str(path), meta=meta)
+
+    def vec(a):
+        return None if a is None else [float(v) for v in np.asarray(a)]
+
+    expected = tmp_path / "expected.json"
+    with open(expected, "w") as fh:
+        json.dump({"meta": meta, "records": [
+            {"r": rec.r, "alpha": float(rec.alpha), "x": vec(rec.x),
+             "y": vec(rec.y), "x_next": vec(rec.x_next), "w": vec(rec.w)}
+            for rec in res.records]}, fh)
+        fh.write("\n")
+    assert path.read_bytes() == expected.read_bytes()
 
 
 # ---------------------------------------------------------------------------

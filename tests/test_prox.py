@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from blockadmm.prox import (
     L1,
@@ -12,6 +13,7 @@ from blockadmm.prox import (
     SparseGroup,
     Sum,
     Zero,
+    group_shrink,
     merge_box,
     moreau_value,
     prox,
@@ -21,7 +23,7 @@ from blockadmm.prox import (
     term_to_doc,
 )
 
-from oracles import grid_prox_1d, grid_prox_2d
+from oracles import bisection_ball_box_prox, grid_prox_1d, grid_prox_2d
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +330,106 @@ def test_ball_prox_near_threshold_radial():
         assert err < 1e-6
         if margin <= 0.0:
             assert got[0] == 0.0 and got[1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# ball-box kernel against a bisection oracle, on drawn instances
+# ---------------------------------------------------------------------------
+
+_BOUND_KINDS = {
+    "straddle": lambda a, b: (-a, b),
+    "zero_at_lower": lambda a, b: (0.0, b),
+    "zero_at_upper": lambda a, b: (-a, 0.0),
+    "pinned_at_zero": lambda a, b: (0.0, 0.0),
+    "pinned": lambda a, b: (a - 1.0, a - 1.0),
+    "above_zero": lambda a, b: (a, a + b),
+    "below_zero": lambda a, b: (-a - b, -a),
+}
+
+# No magnitudes below 1e-3: the bisection oracle cannot tell a zero prox
+# from one below its resolution.
+_coord = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+
+
+@st.composite
+def ball_box_cases(draw):
+    """(v, t, lo, hi, groups, weights): groups are disjoint, usually not
+    contiguous, and may leave coordinates uncovered."""
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    n_cov = draw(st.integers(0, n))
+    cuts = sorted(draw(st.sets(st.integers(1, n_cov - 1), max_size=3))) \
+        if n_cov > 1 else []
+    bounds = [0] + cuts + [n_cov]
+    groups = [list(perm[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
+    weights = [draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
+               for _ in groups]
+    lo, hi = np.empty(n), np.empty(n)
+    for i in range(n):
+        kind = draw(st.sampled_from(sorted(_BOUND_KINDS)))
+        a, b = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))
+        lo[i], hi[i] = _BOUND_KINDS[kind](a, b)
+    v = np.array(draw(st.lists(_coord, min_size=n, max_size=n)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        v[:] = 0.0
+    t = draw(st.floats(0.05, 3.0))
+    return v, t, lo, hi, groups, weights
+
+
+def _ball_box_term(lo, hi, groups, weights):
+    return Sum([BoxIndicator(lo, hi), GroupL2(groups, weights)])
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+
+
+@_PROPERTY
+@given(ball_box_cases())
+# a box away from 0 with ||v|| < t * w: the root lies above ||v|| - t * w
+@example((np.array([0.0, -2.0, 0.0]), 1.0, np.array([1.0, -2.0, 1.0]),
+          np.array([2.0, -1.0, 2.0]), [[0, 1]], [1.0]))
+# 0 on a face: the shrinkage leaves the box, yet the prox is 0
+@example((np.array([-1.0, 0.5]), 1.0, np.array([0.0, -1.0]),
+          np.array([1.0, 1.0]), [[0, 1]], [1.0]))
+def test_ball_box_kernel_matches_bisection_oracle(case):
+    v, t, lo, hi, groups, weights = case
+    got = prox(_ball_box_term(lo, hi, groups, weights), v, t)
+    ref = bisection_ball_box_prox(v, t, lo, hi, groups, weights)
+    assert np.max(np.abs(got - ref)) <= 1e-10
+    assert np.all(got >= lo) and np.all(got <= hi)
+    # the bisection only approaches a zero prox; the kernel returns it
+    for J in groups:
+        if np.max(np.abs(ref[J])) <= 1e-30 * np.max(np.abs(v[J])):
+            assert np.all(got[J] == 0.0)
+
+
+@_PROPERTY
+@given(ball_box_cases(), st.lists(_coord, min_size=7, max_size=7))
+def test_ball_box_kernel_nonexpansive(case, other):
+    v, t, lo, hi, groups, weights = case
+    term = _ball_box_term(lo, hi, groups, weights)
+    v2 = np.array(other[:v.size])
+    p1, p2 = prox(term, v, t), prox(term, v2, t)
+    assert np.linalg.norm(p1 - p2) <= np.linalg.norm(v - v2) + 1e-12
+
+
+@_PROPERTY
+@given(ball_box_cases())
+def test_ball_box_kernel_keeps_group_shrink_inside_box(case):
+    # a feasible unconstrained minimizer is the constrained one, so the
+    # kernel returns the plain group shrinkage there; uncovered
+    # coordinates are clipped
+    v, t, lo, hi, groups, weights = case
+    got = prox(_ball_box_term(lo, hi, groups, weights), v, t)
+    covered = set()
+    for J, w in zip(groups, weights):
+        covered.update(J)
+        shrink = group_shrink(v[J], t * w)
+        if np.all(shrink >= lo[J]) and np.all(shrink <= hi[J]):
+            assert np.allclose(got[J], shrink, rtol=1e-14, atol=1e-15)
+    rest = [i for i in range(v.size) if i not in covered]
+    assert np.array_equal(got[rest], np.clip(v[rest], lo[rest], hi[rest]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Solver variants: block solves, sweep steps, descent margins, run()."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,23 @@ def test_run_determinism_bitwise():
     assert records_equal(a.records, b.records)
     for ra, rb in zip(a.records, b.records):
         assert np.array_equal(ra.x_next, rb.x_next)
+
+
+def test_run_reports_divergence_with_last_finite_iterate():
+    # Undamped Jacobi on three copies of one scalar block overshoots by a
+    # growing factor; the iterates overflow after a few hundred steps.
+    p = build_problem([Block(E=[[1.0]])] * 3, q=[1.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run(p, variant="jacobi_unsafe", alpha=0.1, max_iters=3000)
+    assert res.termination == "diverged"
+    assert res.iterations < 1000
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert np.all(np.isfinite(res.x)) and np.all(np.isfinite(res.y))
+    assert len(res.records) == res.iterations
+    assert np.array_equal(res.x, res.records[-1].x_next)
+    assert any("non-finite at iteration %d" % res.iterations in note
+               for note in res.warnings)
 
 
 def test_run_config_validation():
