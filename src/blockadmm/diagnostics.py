@@ -35,7 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lagrangian import augmented_lagrangian, minimize_lagrangian
+from .lagrangian import (
+    augmented_lagrangian,
+    minimize_lagrangian,
+    proximal_gradient,
+)
 from .problem import objective
 from .solvers import nu_constant
 from .trace import CheckRow
@@ -123,6 +127,13 @@ def compute_gaps(problem, records, reference, rho, inner_tol=None):
     """Fill d_y, delta_p, delta_d (and the inner minimizer xbar) on each
     record via warm-started inner solves at the reference accuracy.
 
+    A record that already carries an inner minimizer ``xbar`` of its own
+    y (the auto-alpha monitor of :func:`blockadmm.solvers.run` stores
+    one) warm-starts from it, so its solve only polishes to
+    ``inner_tol``; any other record starts from the previous record's
+    minimizer, or from its own x for the first. Either way the solve
+    runs to ``inner_tol`` and overwrites ``xbar`` and ``d_y``.
+
     Returns (records, rows) where the rows verify the identity
     delta_p - delta_d = L_val - d* and the nonnegativity of both gaps up
     to 10 * tol_ref.
@@ -133,8 +144,12 @@ def compute_gaps(problem, records, reference, rho, inner_tol=None):
     rows = []
     warm = None
     for rec in records:
+        if rec.xbar is not None:
+            warm = rec.xbar
+        elif warm is None:
+            warm = rec.x
         inner = minimize_lagrangian(problem, rec.y, rho, tol=inner_tol,
-                                    warm_start=rec.x if warm is None else warm)
+                                    warm_start=warm)
         warm = inner.x_of_y
         rec.xbar = inner.x_of_y
         rec.d_y = inner.d_value
@@ -217,7 +232,10 @@ def check_gap_decrease(problem, records, reference, rho, gamma,
 
     with alpha the stepsize that produced y^r. With alpha = 0 these
     reduce to the plain descent statement. Gaps must have been filled by
-    compute_gaps first.
+    compute_gaps first: a pair is skipped when either record's delta_p
+    or delta_d is still NaN (a solved auto-alpha record already carries
+    xbar and d_y, but no gaps) or when the later record has no xbar (gaps
+    read back from a trace CSV without one).
     """
     _require_states(records)
     gamma_eff = gamma * problem.K if variant in ("jacobi", "jacobi_unsafe") \
@@ -225,7 +243,8 @@ def check_gap_decrease(problem, records, reference, rho, gamma,
     rows = []
     slack_base = 10.0 * reference.tol_ref
     for prev, cur in zip(records, records[1:]):
-        if cur.r != prev.r + 1 or cur.xbar is None or prev.xbar is None:
+        if cur.r != prev.r + 1 or cur.xbar is None or np.isnan(
+                [prev.delta_p, prev.delta_d, cur.delta_p, cur.delta_d]).any():
             continue
         alpha = prev.alpha
         res_x = problem.apply_E(cur.x) - problem.q
@@ -388,7 +407,6 @@ def estimate_error_bound_constants(problem, rho, reference, n_samples=20,
     for _ in range(n_samples):
         xs = problem.project_domains(
             reference.x + radius * rng.standard_normal(problem.n))
-        from .lagrangian import proximal_gradient
         pg = float(np.linalg.norm(
             proximal_gradient(problem, xs, reference.y, rho)))
         if pg <= floor:

@@ -404,6 +404,12 @@ def run(problem, config=None, init=None, **overrides):
     domains), stops when max(prox-gradient norm, feasibility residual)
     falls below ``tol_outer``, and returns a RunResult whose records
     carry the full iterate states (one record per dual transition).
+
+    With alpha="auto" the lookahead monitor solves d(y^r) to
+    max(10 * tol_block, 1e-11) anyway, so each record also carries that
+    value as ``d_y`` and its inner minimizer x(y^r) as ``xbar``;
+    :func:`blockadmm.diagnostics.compute_gaps` polishes both instead of
+    solving again. Fixed-alpha records leave them NaN and None.
     """
     if config is None:
         config = SolverConfig(**overrides)
@@ -458,7 +464,7 @@ def run(problem, config=None, init=None, **overrides):
     records = []
     non_monotone = False
     mu_prev = None
-    d_cur = float("nan")
+    d_cur, xbar_cur = float("nan"), None
     pending = None
     termination = "max_iters"
     r = 0
@@ -491,16 +497,17 @@ def run(problem, config=None, init=None, **overrides):
             res_next = problem.apply_E(x_next) - problem.q
             if auto:
                 if mu_prev is None:
-                    d_cur = dual_eval(y, x_next).d_value
+                    inner = dual_eval(y, x_next)
+                    d_cur, xbar_cur = inner.d_value, inner.x_of_y
                     mu_prev = L_val - 2.0 * d_cur
                 used_alpha = alpha
                 accepted = False
                 for attempt in range(7):
                     y_cand = y - used_alpha * res_next
                     x_next2, w2 = primal(x_next, y_cand)
-                    d_cand = dual_eval(y_cand, x_next2).d_value
+                    cand = dual_eval(y_cand, x_next2)
                     mu_cand = (augmented_lagrangian(problem, x_next2, y_cand,
-                                                    rho) - 2.0 * d_cand)
+                                                    rho) - 2.0 * cand.d_value)
                     if mu_cand <= mu_prev + _MONITOR_SLACK:
                         accepted = True
                         break
@@ -516,13 +523,13 @@ def run(problem, config=None, init=None, **overrides):
                 alpha = used_alpha
                 y_next = y_cand
                 pending = (x_next2, w2)
-                record_d = d_cur
+                record_d, record_xbar = d_cur, xbar_cur
                 mu_prev = mu_cand
-                d_cur = d_cand
+                d_cur, xbar_cur = cand.d_value, cand.x_of_y
             else:
                 used_alpha = alpha
                 y_next = y - used_alpha * res_next
-                record_d = float("nan")
+                record_d, record_xbar = float("nan"), None
             if not np.isfinite(x_next).all() or not np.isfinite(y_next).all():
                 termination = "diverged"
                 warnings.append("iterates became non-finite at iteration %d; "
@@ -542,6 +549,7 @@ def run(problem, config=None, init=None, **overrides):
                     y=y.copy(),
                     x_next=x_next.copy(),
                     w=None if w is None else w.copy(),
+                    xbar=record_xbar,
                 ))
             x, y = x_next, y_next
             r += 1

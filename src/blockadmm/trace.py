@@ -13,14 +13,16 @@ with full-precision floats (NaN spelled ``nan``), where
     pg    = ||prox-gradient at (x^r, y^r)||
     d_y   = d(y^r)                   f_val = f(x^{r+1}) .
 
-Gap columns are NaN until they are filled in (the solver fills d_y only
-when it computes dual values anyway; diagnostics fill the rest).
+Gap columns are NaN until they are filled in. The solver fills d_y, and
+the inner minimizer xbar = x(y^r) it was computed at, only when its
+auto-alpha monitor computes them anyway; diagnostics polish those and
+fill the rest.
 
 The iterate states needed to re-verify descent and gap inequalities
 offline do not fit the scalar CSV, so they are written to a JSON sidecar
 (``<trace>.states.json``) holding x, y, x_next, the per-iteration dual
-stepsize, the Jacobi direction w when applicable, and the run's solver
-settings.
+stepsize, the Jacobi direction w when applicable, xbar for the records
+that carry one, and the run's solver settings.
 """
 
 from __future__ import annotations
@@ -159,21 +161,31 @@ def _vec(a):
 
 
 def write_states(records, path, meta=None):
-    """Write the iterate-state sidecar for a trace."""
-    doc = {"meta": dict(meta or {}), "records": []}
-    for rec in records:
-        doc["records"].append({
-            "r": rec.r,
-            "alpha": float(rec.alpha),
-            "x": _vec(rec.x),
-            "y": _vec(rec.y),
-            "x_next": _vec(rec.x_next),
-            "w": _vec(rec.w),
-        })
-    # one encode and one write: json.dump streams many small writes
+    """Write the iterate-state sidecar for a trace.
+
+    The bytes are those of ``json.dump({"meta": ..., "records": [...]})``
+    plus a newline, but each record is encoded and written on its own, so
+    the whole document is never held in memory. An ``"xbar"`` key follows
+    ``"w"`` only in records that carry an inner minimizer.
+    """
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+        fh.write('{"meta": %s, "records": [' % json.dumps(dict(meta or {})))
+        sep = ""
+        for rec in records:
+            entry = {
+                "r": rec.r,
+                "alpha": float(rec.alpha),
+                "x": _vec(rec.x),
+                "y": _vec(rec.y),
+                "x_next": _vec(rec.x_next),
+                "w": _vec(rec.w),
+            }
+            if rec.xbar is not None:
+                entry["xbar"] = _vec(rec.xbar)
+            fh.write(sep)
+            fh.write(json.dumps(entry))
+            sep = ", "
+        fh.write("]}\n")
 
 
 def read_states(path):
@@ -190,6 +202,8 @@ def read_states(path):
             "x_next": None if entry["x_next"] is None
                       else np.asarray(entry["x_next"]),
             "w": None if entry.get("w") is None else np.asarray(entry["w"]),
+            "xbar": None if entry.get("xbar") is None
+                    else np.asarray(entry["xbar"]),
         })
     return doc.get("meta", {}), states
 
@@ -206,6 +220,7 @@ def attach_states(records, states):
         rec.y = s["y"]
         rec.x_next = s["x_next"]
         rec.w = s["w"]
+        rec.xbar = s["xbar"]
     return records
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from blockadmm.cli import main
+from blockadmm.diagnostics import run_diagnostics
 from blockadmm.generators import gen_l1_kblock
 from blockadmm.problem import (
     Block,
@@ -198,6 +199,30 @@ def test_states_sidecar_bytes_match_streamed_json(tmp_path):
             for rec in res.records]}, fh)
         fh.write("\n")
     assert path.read_bytes() == expected.read_bytes()
+
+
+def test_states_sidecar_carries_the_monitors_inner_minimizer(tmp_path):
+    # An auto-alpha solve stores each record's inner minimizer xbar in
+    # the sidecar, and diagnosing from the files (which warm-starts the
+    # gap solves from it) reports what diagnosing in process does.
+    prob = _gen_kblock(tmp_path)
+    trace = tmp_path / "t.csv"
+    main(["solve", "--problem", str(prob), "--alpha", "auto",
+          "--trace", str(trace), "--report", str(tmp_path / "r.json")])
+    p = problem_from_doc(json.loads(prob.read_text()))
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+              tol_outer=1e-8, max_iters=1000)
+    _, states = read_states(states_path_for(str(trace)))
+    assert len(states) == len(res.records)
+    for rec, state in zip(res.records, states):
+        assert rec.xbar is not None
+        assert np.array_equal(state["xbar"], rec.xbar)
+    report = tmp_path / "d.json"
+    main(["diagnose", "--problem", str(prob), "--trace", str(trace),
+          "--report", str(report)])
+    in_process, _, _ = run_diagnostics(p, res.records, 1.0)
+    assert report.read_text() == json.dumps(in_process.to_doc(),
+                                            indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

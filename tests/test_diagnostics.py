@@ -1,8 +1,11 @@
 """Diagnostics: reference solves, gap accounting, inequality checks, fits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from blockadmm import diagnostics
 from blockadmm.diagnostics import (
     alpha_bound_estimate,
     check_descent_lemma,
@@ -168,6 +171,58 @@ def test_gap_identity_and_nonnegativity_along_run():
     for rec in res.records:
         assert np.isfinite(rec.delta_p) and np.isfinite(rec.delta_d)
         assert rec.xbar is not None
+
+
+def test_gaps_polish_the_monitors_inner_minimizer(monkeypatch):
+    # compute_gaps warm-starts from the xbar an auto-alpha run stored, so
+    # it only polishes from the monitor's 1e-9 to tol_ref; a copy with
+    # xbar cleared chains from the previous record's minimizer instead.
+    p = gen_group_l2(m=30, K=3, n_k=2, seed=0)
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+              tol_outer=1e-8, max_iters=1000)
+    assert res.termination == "converged"
+    ref = reference_solution(p, rho=1.0)
+    cleared = [replace(rec, xbar=None) for rec in res.records]
+    sweeps = []
+    solve = diagnostics.minimize_lagrangian
+
+    def counted(*args, **kwargs):
+        inner = solve(*args, **kwargs)
+        sweeps.append(inner.iterations)
+        return inner
+
+    monkeypatch.setattr(diagnostics, "minimize_lagrangian", counted)
+    _, rows = compute_gaps(p, res.records, ref, 1.0)
+    kept = np.mean(sweeps)
+    sweeps.clear()
+    _, rows_cleared = compute_gaps(p, cleared, ref, 1.0)
+    chained = np.mean(sweeps)
+    assert kept <= 2.0 < chained
+    for a, b in zip(res.records, cleared):
+        tol = 10.0 * ref.tol_ref * (1.0 + abs(a.L_val))
+        for name in ("d_y", "delta_p", "delta_d"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= tol
+    gamma = gamma_value(p, 1.0)
+    rows += check_gap_decrease(p, res.records, ref, 1.0, gamma)
+    rows_cleared += check_gap_decrease(p, cleared, ref, 1.0, gamma)
+    assert len(rows) == len(rows_cleared) > 3 * len(res.records)
+    assert [(row.r, row.check_name, row.passed) for row in rows] == \
+        [(row.r, row.check_name, row.passed) for row in rows_cleared]
+
+
+def test_gap_decrease_skips_records_without_gaps():
+    # A solved auto-alpha run carries xbar and d_y but no gaps yet; gaps
+    # read back from a trace CSV come without xbar.
+    p, ref = _kb()
+    gamma = gamma_value(p, 1.0)
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+              tol_outer=1e-13, max_iters=20)
+    assert all(rec.xbar is not None for rec in res.records)
+    assert check_gap_decrease(p, res.records, ref, 1.0, gamma) == []
+    compute_gaps(p, res.records, ref, 1.0)
+    assert check_gap_decrease(p, res.records, ref, 1.0, gamma)
+    unfilled = [replace(rec, xbar=None) for rec in res.records]
+    assert check_gap_decrease(p, unfilled, ref, 1.0, gamma) == []
 
 
 def test_gap_computation_requires_iterate_states():

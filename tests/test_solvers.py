@@ -421,6 +421,26 @@ def test_run_determinism_bitwise():
         assert np.array_equal(ra.x_next, rb.x_next)
 
 
+def test_run_keeps_the_monitors_inner_minimizer():
+    # With alpha="auto" each record carries x(y^r) as the monitor solved
+    # it, at the monitor tolerance max(10 * tol_block, 1e-11) = 1e-9;
+    # fixed-alpha records carry none.
+    p = _mixed_problem(seed=25)
+    auto = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+               tol_outer=1e-8, max_iters=4000)
+    assert auto.termination == "converged" and len(auto.records) >= 3
+    for rec in auto.records:
+        assert rec.xbar is not None
+        pg = np.linalg.norm(proximal_gradient(p, rec.xbar, rec.y, 1.0))
+        assert pg <= 1e-9
+        assert rec.d_y == augmented_lagrangian(p, rec.xbar, rec.y, 1.0)
+    fixed = run(p, variant="gauss_seidel", rho=1.0, alpha=0.1,
+                tol_outer=1e-8, max_iters=4000)
+    assert fixed.records
+    assert all(rec.xbar is None and np.isnan(rec.d_y)
+               for rec in fixed.records)
+
+
 def test_run_reports_divergence_with_last_finite_iterate():
     # Undamped Jacobi on three copies of one scalar block overshoots by a
     # growing factor; the iterates overflow after a few hundred steps.
