@@ -189,15 +189,13 @@ def _cmd_solve(args, parser):
         return 2
     if args.trace:
         write_trace_csv(result.records, args.trace)
-        tol_block = config.tol_block if config.tol_block is not None \
-            else min(1e-10, config.tol_outer / 100.0)
         write_states(result.records, states_path_for(args.trace), meta={
             "rho": config.rho,
             "variant": config.variant,
             "beta": result.beta,
             "alpha": "auto" if alpha == "auto" else alpha,
             "tol_outer": config.tol_outer,
-            "tol_block": tol_block,
+            "tol_block": result.tol_block,
             "seed": config.seed,
         })
     doc = {

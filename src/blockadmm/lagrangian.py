@@ -14,11 +14,13 @@ E x(y) is the same for every inner minimizer, which is what makes the
 gradient well defined, and grad d is Lipschitz with constant 1 / rho.
 
 The inner minimization iterates the cyclic block coordinate descent
-sweep x -> S(x), in which each block subproblem is solved to high accuracy
-(see :func:`blockadmm.solvers.solve_block`), and speeds it up with
-safeguarded Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49,
-2011; Zhang, O'Donoghue & Boyd, "Globally convergent type-I Anderson
-acceleration for nonsmooth fixed-point iterations", arXiv:1808.03971):
+sweep x -> S(x), which is the solver's own Gauss-Seidel primal pass
+(``blockadmm.solvers._primal_gauss_seidel``: each block subproblem is
+solved to high accuracy by :func:`blockadmm.solvers.solve_block`). It
+speeds the sweep up with safeguarded Anderson acceleration (Walker & Ni,
+SIAM J. Numer. Anal. 49, 2011; Zhang, O'Donoghue & Boyd, "Globally
+convergent type-I Anderson acceleration for nonsmooth fixed-point
+iterations", arXiv:1808.03971):
 after each sweep the last few sweep residuals S(x) - x are combined into
 an extrapolated point, which replaces S(x) only when its prox-gradient
 residual is smaller. Sweeps repeat until the prox-gradient residual of
@@ -140,8 +142,9 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
     """Minimize L(.; y) by Anderson-accelerated cyclic block coordinate
     descent.
 
-    Each sweep S solves every block subproblem exactly (to a tolerance
-    well below ``tol``, loosened while the iterate is still far from the
+    Each sweep S is the Gauss-Seidel primal pass of the solver: it
+    solves every block subproblem exactly (to a tolerance well below
+    ``tol``, loosened while the iterate is still far from the
     minimizer). After the sweep, the recent residuals f = S(x) - x give
     the Anderson extrapolation (Walker & Ni 2011): with the columns of dF
     and dG the last (at most five) successive differences of f and of
@@ -160,7 +163,7 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
     ConvergenceError (carrying the best iterate seen, swept or
     extrapolated) if the sweep cap is reached.
     """
-    from .solvers import solve_block
+    from .solvers import _primal_gauss_seidel
 
     if rho <= 0:
         raise ValueError("rho must be positive, got %g" % rho)
@@ -196,15 +199,7 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
         # Blocks far from the joint fixed point need not be polished to
         # the final tolerance; tighten as the full residual shrinks.
         sweep_tol = max(block_tol, min(1e-4, 0.01 * npg))
-        g = x.copy()
-        Eg = problem.apply_E(g)
-        for k, b in enumerate(problem.blocks):
-            gk_old = g[b.sl].copy()
-            coupling = Eg - b.E @ gk_old - problem.q
-            gk_new = solve_block(problem, k, g, y, rho, sweep_tol,
-                                 coupling=coupling)
-            g[b.sl] = gk_new
-            Eg = Eg + b.E @ (gk_new - gk_old)
+        g = _primal_gauss_seidel(problem, x, y, rho, sweep_tol)
         sweeps += 1
         f = g - x
         x, npg = g, pg_norm(g)

@@ -207,10 +207,39 @@ class _BuiltBlock:
             self.lipschitz = smooth.lipschitz_L
             self.hess_smooth = None   # gradient is not affine
             self.lin_smooth = None
+        self._constants = None        # (rho, constants(rho)) of the last rho
 
-    def take(self, x):
-        """This block's slice of a flat iterate."""
-        return x[self.sl]
+    def constants(self, rho):
+        """Block-solve constants at penalty rho, as (H, scalar_eta, H_inv,
+        step_L).
+
+        H = hess_smooth + rho * EtE is the subproblem Hessian (None when
+        the smooth gradient is not affine); scalar_eta is eta when H is
+        eta * I with eta > 0, else None; H_inv is the inverse of a
+        positive definite H on a block with no nonsmooth term, else None;
+        step_L is the curvature bound of the prox-gradient loop. Only the
+        last rho is kept, so a sweep over rho holds one entry.
+        """
+        memo = self._constants
+        if memo is not None and memo[0] == rho:
+            return memo[1]
+        H = scalar_eta = H_inv = None
+        if self.hess_smooth is not None:
+            H = self.hess_smooth + rho * self.EtE
+            eta = float(np.trace(H)) / self.n_k
+            off = H - eta * np.eye(self.n_k)
+            if eta > 0 and float(np.linalg.norm(off)) <= 1e-10 * max(1.0, eta):
+                scalar_eta = eta
+            evals = np.linalg.eigvalsh(H)
+            step_L = float(max(evals[-1], 0.0))
+            posdef = evals[0] > 1e-14 * max(evals[-1], 1.0)
+            if posdef and self.h.kind == "zero":
+                H_inv = np.linalg.inv(H)
+        else:
+            step_L = self.lipschitz + rho * self.norm_E ** 2
+        constants = (H, scalar_eta, H_inv, step_L)
+        self._constants = (rho, constants)
+        return constants
 
     def smooth_value(self, xk):
         if self.smooth is None:
@@ -228,7 +257,10 @@ class _BuiltBlock:
 
 
 class Problem:
-    """A validated block problem. Immutable after build; safe to share.
+    """A validated block problem. Its data are immutable after build and
+    safe to share; each block memoizes its block-solve constants for the
+    last rho it was solved at (``_BuiltBlock.constants``), which changes
+    no result.
 
     Attributes
     ----------
@@ -261,10 +293,6 @@ class Problem:
             b.E.setflags(write=False)
             if b.A is not None:
                 b.A.setflags(write=False)
-
-    def split(self, x):
-        """Views of a flat iterate, one per block."""
-        return [x[b.sl] for b in self.blocks]
 
     def apply_E(self, x):
         """E x for a flat iterate x."""
@@ -366,10 +394,7 @@ def build_problem(blocks, q):
                 raise ValueError("block %d: %s" % (k, e)) from None
         sl = slice(offset, offset + n_k)
         offset += n_k
-        try:
-            built.append(_BuiltBlock(k, E, A, smooth, h, nonsmooth, box, sl))
-        except ValueError:
-            raise
+        built.append(_BuiltBlock(k, E, A, smooth, h, nonsmooth, box, sl))
         declared.append(Block(E=E, A=A, smooth=smooth, nonsmooth=nonsmooth,
                               box=box))
     E_mat = np.hstack([b.E for b in built])
@@ -405,7 +430,7 @@ def objective(problem, x):
         raise ValueError("x has shape %s, expected (%d,)" % (x.shape, problem.n))
     total = 0.0
     for b in problem.blocks:
-        xk = b.take(x)
+        xk = x[b.sl]
         hv = b.h.value(xk)
         if not np.isfinite(hv):
             return float("inf")

@@ -19,6 +19,12 @@ Primal passes:
   augmented Lagrangian; kept as a demonstrator, with the increase
   detected and flagged.
 
+One function, ``_primal_pass``, takes the pass of any variant; ``run``
+and the public ``step_*`` functions both call it, and the inner
+minimization of :mod:`blockadmm.lagrangian` repeats the Gauss-Seidel
+pass to evaluate d(y). Block solves read their per-rho constants from
+the block (``_BuiltBlock.constants``).
+
 With alpha="auto" the driver starts at alpha = 0.1 * rho and enforces
 monotonicity of the combined optimality gap via a lookahead: a candidate
 dual step is committed only if the monitored quantity
@@ -97,7 +103,8 @@ class SolverConfig:
 
 @dataclass
 class RunResult:
-    """Final state and per-iteration records of a solver run."""
+    """Final state and per-iteration records of a solver run; ``beta``
+    and ``tol_block`` are the resolved settings it ran with."""
 
     x: np.ndarray
     y: np.ndarray
@@ -109,6 +116,7 @@ class RunResult:
     feas: float
     config: SolverConfig
     beta: float | None = None
+    tol_block: float | None = None
     warnings: list = field(default_factory=list)
 
 
@@ -130,41 +138,6 @@ def default_beta(problem, rho):
             "positive curvature bound"
         )
     return 1.01 * nu
-
-
-def _block_cache(b, rho):
-    """Per-(block, rho) solver constants, computed once."""
-    cache = getattr(b, "_solver_cache", None)
-    if cache is None:
-        cache = {}
-        b._solver_cache = cache
-    entry = cache.get(rho)
-    if entry is not None:
-        return entry
-    entry = {}
-    if b.hess_smooth is not None:
-        H = b.hess_smooth + rho * b.EtE
-        entry["H"] = H
-        nk = b.n_k
-        eta = float(np.trace(H)) / nk
-        off = H - eta * np.eye(nk)
-        entry["scalar_eta"] = (
-            eta if eta > 0 and
-            float(np.linalg.norm(off)) <= 1e-10 * max(1.0, eta)
-            else None
-        )
-        evals = np.linalg.eigvalsh(H)
-        entry["H_norm"] = float(max(evals[-1], 0.0))
-        entry["H_posdef"] = bool(evals[0] > 1e-14 * max(evals[-1], 1.0))
-        if entry["H_posdef"] and b.h.kind == "zero":
-            entry["H_inv"] = np.linalg.inv(H)
-        entry["step_L"] = entry["H_norm"]
-    else:
-        entry["H"] = None
-        entry["scalar_eta"] = None
-        entry["step_L"] = b.lipschitz + rho * b.norm_E ** 2
-    cache[rho] = entry
-    return entry
 
 
 def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
@@ -194,8 +167,7 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         coupling = problem.apply_E(x) - b.E @ xk0 - problem.q
     Ety = b.E.T @ y
     lin0 = rho * (b.E.T @ coupling) - Ety
-    cache = _block_cache(b, rho)
-    H = cache["H"]
+    H, eta, Hinv, step_L = b.constants(rho)
     if H is not None:
         g0 = lin0 - b.lin_smooth
 
@@ -205,11 +177,9 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         def grad_phi(u):
             return b.smooth_grad(u) + rho * (b.EtE @ u) + lin0
 
-    eta = cache["scalar_eta"]
     if eta is not None:
         return b.h.prox(-g0 / eta, 1.0 / eta)
     if H is not None and b.h.kind == "zero":
-        Hinv = cache.get("H_inv")
         if Hinv is not None:
             u = Hinv @ (-g0)
             if float(np.linalg.norm(H @ u + g0)) <= max(tol_block, 1e-12) * (
@@ -223,7 +193,6 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         # inconsistent system: fall through to the iterative path, which
         # will fail to converge and report the best iterate.
 
-    step_L = cache["step_L"]
     if step_L <= 0:
         raise ValueError(
             "block %d has no curvature; its subproblem is unbounded or "
@@ -313,14 +282,34 @@ def _jacobi_direction(problem, x, y, rho, tol_block):
     return w
 
 
-def _dual_ascent(problem, x_next, y, alpha):
-    return y + alpha * (problem.q - problem.apply_E(x_next))
+def _primal_pass(problem, variant, x, y, rho, tol_block, beta):
+    """One primal pass of ``variant`` at fixed y; returns (x_next, w),
+    with w the Jacobi direction (None for the cyclic sweeps). The damped
+    Jacobi update x + (w - x) / K is x_next = w exactly when K = 1."""
+    if variant == "gauss_seidel":
+        return _primal_gauss_seidel(problem, x, y, rho, tol_block), None
+    if variant == "proximal":
+        return _primal_proximal(problem, x, y, rho, beta), None
+    w = _jacobi_direction(problem, x, y, rho, tol_block)
+    if variant == "jacobi" and problem.K > 1:
+        return x + (w - x) / problem.K, w
+    return w.copy(), w
+
+
+def _dual_ascent(y, alpha, res):
+    """The dual step y + alpha * (q - E x_next), given res = E x_next - q."""
+    return y - alpha * res
+
+
+def _step(problem, variant, x, y, rho, alpha, tol_block=None, beta=None):
+    x_next, w = _primal_pass(problem, variant, x, y, rho, tol_block, beta)
+    res = problem.apply_E(x_next) - problem.q
+    return x_next, _dual_ascent(y, alpha, res), w
 
 
 def step_gauss_seidel(problem, x, y, rho, alpha, tol_block=1e-12):
     """One full iteration: cyclic exact sweep, then dual ascent."""
-    x_next = _primal_gauss_seidel(problem, x, y, rho, tol_block)
-    return x_next, _dual_ascent(problem, x_next, y, alpha)
+    return _step(problem, "gauss_seidel", x, y, rho, alpha, tol_block)[:2]
 
 
 def step_proximal(problem, x, y, rho, alpha, beta):
@@ -332,26 +321,19 @@ def step_proximal(problem, x, y, rho, alpha, beta):
             "proximal stepsize parameter beta=%g must exceed the "
             "curvature bound nu=%g" % (beta, nu)
         )
-    x_next = _primal_proximal(problem, x, y, rho, beta)
-    return x_next, _dual_ascent(problem, x_next, y, alpha)
+    return _step(problem, "proximal", x, y, rho, alpha, beta=beta)[:2]
 
 
 def step_jacobi(problem, x, y, rho, alpha, tol_block=1e-12):
     """One damped Jacobi iteration; returns (x_next, y_next, w) with
     x_next = x + (w - x) / K (and x_next = w exactly when K = 1)."""
-    w = _jacobi_direction(problem, x, y, rho, tol_block)
-    if problem.K == 1:
-        x_next = w.copy()
-    else:
-        x_next = x + (w - x) / problem.K
-    return x_next, _dual_ascent(problem, x_next, y, alpha), w
+    return _step(problem, "jacobi", x, y, rho, alpha, tol_block)
 
 
 def step_jacobi_unsafe(problem, x, y, rho, alpha, tol_block=1e-12):
     """One undamped Jacobi iteration (x_next = w). No descent guarantee;
     the augmented Lagrangian may increase."""
-    w = _jacobi_direction(problem, x, y, rho, tol_block)
-    return w.copy(), _dual_ascent(problem, w, y, alpha), w
+    return _step(problem, "jacobi_unsafe", x, y, rho, alpha, tol_block)
 
 
 def _resolve(problem, config):
@@ -431,18 +413,6 @@ def run(problem, config=None, init=None, **overrides):
             "undamped Jacobi sweeps have no descent guarantee"
         )
 
-    def primal(xc, yc):
-        if variant == "gauss_seidel":
-            return _primal_gauss_seidel(problem, xc, yc, rho, tol_block), None
-        if variant == "proximal":
-            return _primal_proximal(problem, xc, yc, rho, beta), None
-        w = _jacobi_direction(problem, xc, yc, rho, tol_block)
-        if variant == "jacobi":
-            if problem.K == 1:
-                return w.copy(), w
-            return xc + (w - xc) / problem.K, w
-        return w.copy(), w
-
     def dual_eval(yc, warm):
         return minimize_lagrangian(problem, yc, rho,
                                    tol=max(tol_block * 10.0, 1e-11),
@@ -483,7 +453,8 @@ def run(problem, config=None, init=None, **overrides):
                 x_next, w = pending
                 pending = None
             else:
-                x_next, w = primal(x, y)
+                x_next, w = _primal_pass(problem, variant, x, y, rho,
+                                         tol_block, beta)
             L_val = augmented_lagrangian(problem, x_next, y, rho)
             if variant == "jacobi_unsafe":
                 L_at_x = augmented_lagrangian(problem, x, y, rho)
@@ -503,8 +474,9 @@ def run(problem, config=None, init=None, **overrides):
                 used_alpha = alpha
                 accepted = False
                 for attempt in range(7):
-                    y_cand = y - used_alpha * res_next
-                    x_next2, w2 = primal(x_next, y_cand)
+                    y_cand = _dual_ascent(y, used_alpha, res_next)
+                    x_next2, w2 = _primal_pass(problem, variant, x_next,
+                                               y_cand, rho, tol_block, beta)
                     cand = dual_eval(y_cand, x_next2)
                     mu_cand = (augmented_lagrangian(problem, x_next2, y_cand,
                                                     rho) - 2.0 * cand.d_value)
@@ -528,7 +500,7 @@ def run(problem, config=None, init=None, **overrides):
                 d_cur, xbar_cur = cand.d_value, cand.x_of_y
             else:
                 used_alpha = alpha
-                y_next = y - used_alpha * res_next
+                y_next = _dual_ascent(y, used_alpha, res_next)
                 record_d, record_xbar = float("nan"), None
             if not np.isfinite(x_next).all() or not np.isfinite(y_next).all():
                 termination = "diverged"
@@ -566,5 +538,6 @@ def run(problem, config=None, init=None, **overrides):
             feas=float(np.linalg.norm(problem.apply_E(x) - problem.q)),
             config=config,
             beta=beta,
+            tol_block=tol_block,
             warnings=warnings,
         )

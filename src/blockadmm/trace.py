@@ -188,24 +188,26 @@ def write_states(records, path, meta=None):
         fh.write("]}\n")
 
 
+def _state_from_entry(entry):
+    """A decoded JSON object; sidecar records (the objects with an
+    ``"x_next"`` key) become state dicts of arrays."""
+    if "x_next" not in entry:
+        return entry
+    state = {"r": int(entry["r"]), "alpha": float(entry["alpha"])}
+    for key in ("x", "y", "x_next", "w", "xbar"):
+        vec = entry.get(key)
+        state[key] = None if vec is None else np.asarray(vec)
+    return state
+
+
 def read_states(path):
-    """Read a sidecar; returns (meta, list of per-record state dicts)."""
+    """Read a sidecar; returns (meta, list of per-record state dicts).
+
+    Each record becomes arrays as soon as it is decoded, so the float
+    lists of only one record are alive at a time."""
     with open(path) as fh:
-        doc = json.load(fh)
-    states = []
-    for entry in doc["records"]:
-        states.append({
-            "r": int(entry["r"]),
-            "alpha": float(entry["alpha"]),
-            "x": None if entry["x"] is None else np.asarray(entry["x"]),
-            "y": None if entry["y"] is None else np.asarray(entry["y"]),
-            "x_next": None if entry["x_next"] is None
-                      else np.asarray(entry["x_next"]),
-            "w": None if entry.get("w") is None else np.asarray(entry["w"]),
-            "xbar": None if entry.get("xbar") is None
-                    else np.asarray(entry["xbar"]),
-        })
-    return doc.get("meta", {}), states
+        doc = json.load(fh, object_hook=_state_from_entry)
+    return doc.get("meta", {}), doc["records"]
 
 
 def attach_states(records, states):

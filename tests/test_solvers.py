@@ -421,6 +421,53 @@ def test_run_determinism_bitwise():
         assert np.array_equal(ra.x_next, rb.x_next)
 
 
+def test_run_records_match_the_public_steps_bitwise():
+    # run and the step_* functions take the same primal pass and dual
+    # step, so each recorded transition is one public step, bit for bit.
+    p = _mixed_problem(seed=26)
+    tol_outer = 1e-8
+    tol_block = min(1e-10, tol_outer / 100.0)
+    for variant in ("gauss_seidel", "proximal", "jacobi", "jacobi_unsafe"):
+        res = run(p, variant=variant, rho=1.0, alpha=0.05,
+                  tol_outer=tol_outer, max_iters=30)
+        assert res.tol_block == tol_block
+        assert len(res.records) == res.iterations >= 3
+        next_ys = [rec.y for rec in res.records[1:]] + [res.y]
+        for rec, y_next in zip(res.records, next_ys):
+            if variant == "gauss_seidel":
+                out = step_gauss_seidel(p, rec.x, rec.y, 1.0, rec.alpha,
+                                        tol_block=tol_block)
+            elif variant == "proximal":
+                out = step_proximal(p, rec.x, rec.y, 1.0, rec.alpha,
+                                    res.beta)
+            else:
+                step = step_jacobi if variant == "jacobi" \
+                    else step_jacobi_unsafe
+                out = step(p, rec.x, rec.y, 1.0, rec.alpha,
+                           tol_block=tol_block)
+                assert np.array_equal(out[2], rec.w)
+            assert np.array_equal(out[0], rec.x_next)
+            assert np.array_equal(out[1], y_next)
+
+
+def test_runs_over_several_rho_on_one_problem_match_fresh_builds():
+    # Each block keeps the solve constants of the last rho only; going
+    # back to an earlier rho recomputes them and gives the same bits.
+    shared = _mixed_problem(seed=27)
+    for rho in (1.0, 0.5, 1.0):
+        a = run(shared, variant="gauss_seidel", rho=rho, alpha="auto",
+                tol_outer=1e-8, max_iters=15)
+        b = run(_mixed_problem(seed=27), variant="gauss_seidel", rho=rho,
+                alpha="auto", tol_outer=1e-8, max_iters=15)
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        for ra, rb in zip(a.records, b.records):
+            assert np.array_equal(ra.x_next, rb.x_next)
+            assert np.array_equal(ra.xbar, rb.xbar)
+            assert ra.d_y == rb.d_y and ra.alpha == rb.alpha
+        assert all(blk._constants[0] == rho for blk in shared.blocks)
+
+
 def test_run_keeps_the_monitors_inner_minimizer():
     # With alpha="auto" each record carries x(y^r) as the monitor solved
     # it, at the monitor tolerance max(10 * tol_block, 1e-11) = 1e-9;
