@@ -8,6 +8,7 @@ Exit codes: 0 success; 1 usage or input error; 2 solver failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -20,8 +21,8 @@ from .diagnostics import (
 )
 from .generators import FAMILIES
 from .lagrangian import ConvergenceError
-from .problem import load_problem, save_problem, problem_to_doc
-from .solvers import SolverConfig, run
+from .problem import load_problem, problem_to_doc
+from .solvers import SolverConfig, _resolve, run
 from .trace import (
     attach_states,
     read_states,
@@ -135,12 +136,21 @@ def _cmd_gen(args, parser):
         problem = gen(seed=args.seed, **_gen_kwargs(args))
     except (TypeError, ValueError) as e:
         parser.error(str(e))
-    if args.out:
-        save_problem(problem, args.out)
-    else:
-        json.dump(problem_to_doc(problem), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _write_json(problem_to_doc(problem), args.out)
     return 0
+
+
+def _output(path, **kwargs):
+    """path opened for writing, or standard output when path is None."""
+    return (open(path, "w", **kwargs) if path
+            else contextlib.nullcontext(sys.stdout))
+
+
+def _write_json(doc, path):
+    """Write doc as indented JSON plus a newline to path, or to stdout."""
+    with _output(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _load_problem(path, parser):
@@ -150,41 +160,34 @@ def _load_problem(path, parser):
         parser.error("cannot load problem from %s: %s" % (path, e))
 
 
-def _parse_alpha(text, parser):
+def _parse_float_or_auto(text, name, parser):
     if text == "auto":
         return "auto"
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        parser.error("alpha must be a float or 'auto', got %r" % text)
-    return value
+        parser.error("%s must be a float or 'auto', got %r" % (name, text))
 
 
 def _cmd_solve(args, parser):
     problem = _load_problem(args.problem, parser)
-    alpha = _parse_alpha(args.alpha, parser)
-    if args.beta == "auto":
-        beta = None
-    else:
-        try:
-            beta = float(args.beta)
-        except ValueError:
-            parser.error("beta must be a float or 'auto', got %r" % args.beta)
     config = SolverConfig(
         variant=VARIANT_NAMES[args.variant],
         rho=args.rho,
-        alpha=alpha,
-        beta=beta,
+        alpha=_parse_float_or_auto(args.alpha, "alpha", parser),
+        beta=_parse_float_or_auto(args.beta, "beta", parser),
         tol_outer=args.tol,
         max_iters=args.max_iters,
         trace_every=args.trace_every,
         seed=args.seed,
     )
     try:
-        result = run(problem, config)
+        _resolve(problem, config)
     except ValueError as e:
         parser.error(str(e))
-    except ConvergenceError as e:
+    try:
+        result = run(problem, config)
+    except (ValueError, ConvergenceError) as e:
         print("solver failed: %s" % e, file=sys.stderr)
         return 2
     if args.trace:
@@ -193,25 +196,18 @@ def _cmd_solve(args, parser):
             "rho": config.rho,
             "variant": config.variant,
             "beta": result.beta,
-            "alpha": "auto" if alpha == "auto" else alpha,
+            "alpha": config.alpha,
             "tol_outer": config.tol_outer,
             "tol_block": result.tol_block,
             "seed": config.seed,
         })
-    doc = {
+    _write_json({
         "final_alpha": result.final_alpha,
         "iterations": result.iterations,
         "termination": result.termination,
         "objective": result.objective,
         "feas": result.feas,
-    }
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    }, args.report)
     for note in result.warnings:
         print("warning: %s" % note, file=sys.stderr)
     if result.termination == "diverged":
@@ -278,15 +274,11 @@ def _cmd_sweep(args, parser):
                 print("sweep cell variant=%s alpha=%g failed: %s"
                       % (key, alpha, e), file=sys.stderr)
             rows.append(entry)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with _output(args.out, newline="") as out:
         writer = csv.writer(out)
         writer.writerow(_SWEEP_COLUMNS)
         for entry in rows:
             writer.writerow([entry[c] for c in _SWEEP_COLUMNS])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -315,14 +307,7 @@ def _cmd_diagnose(args, parser):
     )
     if args.checks:
         write_checks_csv(rows, args.checks)
-    doc = report.to_doc()
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _write_json(report.to_doc(), args.report)
     failed = [row for row in rows if not row.passed]
     if failed:
         print("%d check rows failed (first: %s at r=%d)"

@@ -92,27 +92,25 @@ def smooth_gradient(problem, x, y, rho):
         raise ValueError("rho must be nonnegative, got %g" % rho)
     x, y = _check_xy(problem, x, y)
     w = rho * residual_vector(problem, x) - y
-    out = np.empty(problem.n)
+    out = problem.E_mat.T @ w
     for b in problem.blocks:
-        out[b.sl] = b.smooth_grad(x[b.sl]) + b.E.T @ w
+        if b.smooth is not None:
+            out[b.sl] += b.smooth_grad(x[b.sl])
     return out
 
 
 def proximal_gradient(problem, x, y, rho):
-    """Prox-gradient residual of L(.; y) at x with unit step, blockwise:
+    """Prox-gradient residual of L(.; y) at x with unit step,
 
-        x_k - prox_{h_k}(x_k - [smooth gradient]_k) .
+        x - prox_h(x - [smooth gradient]) ,
 
-    Zero exactly at inner minimizers; its norm is the inner stopping
-    criterion everywhere in this package.
+    one prox of the whole vector (h is separable across blocks). Zero
+    exactly at inner minimizers; its norm is the inner stopping criterion
+    everywhere in this package.
     """
     g = smooth_gradient(problem, x, y, rho)
     x = np.asarray(x, dtype=float)
-    out = np.empty(problem.n)
-    for b in problem.blocks:
-        xk = x[b.sl]
-        out[b.sl] = xk - b.h.prox(xk - g[b.sl], 1.0)
-    return out
+    return x - problem.form.prox(x - g, 1.0)
 
 
 @dataclass

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prox import (
-    BoxIndicator,
     ProxTerm,
     Zero,
     NonnegIndicator,
+    _Separable,
     merge_box,
     term_from_doc,
     term_to_doc,
@@ -163,7 +163,8 @@ class Block:
 
 
 class _BuiltBlock:
-    """A validated block with precomputed solver constants."""
+    """A validated block with precomputed solver constants; ``form`` is
+    its effective nonsmooth term compiled into the separable form."""
 
     def __init__(self, k, E, A, smooth, h, nonsmooth, box, sl):
         self.k = k
@@ -175,6 +176,7 @@ class _BuiltBlock:
         self.box = box                # declared (lo, hi) or None
         self.sl = sl                  # slice of this block in the flat vector
         self.n_k = E.shape[1]
+        self.form = h._form(self.n_k)
         self.EtE = E.T @ E
         evals = np.linalg.eigvalsh(self.EtE)
         self.lambda_min = float(max(evals[0], 0.0))
@@ -271,9 +273,11 @@ class Problem:
     norm_E : spectral norm of E_mat (power iteration, relative tol 1e-10).
     metadata : dict with per-block lambda_min(E_k^T E_k), ||E_k||, and
         the global ||E||.
+    form : the block forms concatenated, so that the prox, value and
+        domain projection of a flat iterate are one call each.
     """
 
-    def __init__(self, blocks, q, E_mat, norm_E, declared):
+    def __init__(self, blocks, q, E_mat, norm_E):
         self.blocks = blocks
         self.q = q
         self.m = q.size
@@ -281,7 +285,7 @@ class Problem:
         self.n = sum(b.n_k for b in blocks)
         self.E_mat = E_mat
         self.norm_E = norm_E
-        self._declared = declared
+        self.form = _Separable.concat([b.form for b in blocks])
         self.metadata = {
             "norm_E": norm_E,
             "lambda_min_blocks": [b.lambda_min for b in blocks],
@@ -300,11 +304,7 @@ class Problem:
 
     def project_domains(self, x):
         """Project each block of x onto the domain of its nonsmooth term."""
-        x = np.asarray(x, dtype=float)
-        out = x.copy()
-        for b in self.blocks:
-            out[b.sl] = b.h.project_domain(x[b.sl])
-        return out
+        return self.form.project_domain(x)
 
 
 def _as_matrix(M, name, k):
@@ -345,7 +345,6 @@ def build_problem(blocks, q):
         raise ValueError("a problem needs at least one block")
     m = q.size
     built = []
-    declared = []
     offset = 0
     for k, blk in enumerate(blocks):
         E = _as_matrix(blk.E, "E", k)
@@ -395,11 +394,9 @@ def build_problem(blocks, q):
         sl = slice(offset, offset + n_k)
         offset += n_k
         built.append(_BuiltBlock(k, E, A, smooth, h, nonsmooth, box, sl))
-        declared.append(Block(E=E, A=A, smooth=smooth, nonsmooth=nonsmooth,
-                              box=box))
     E_mat = np.hstack([b.E for b in built])
     norm_E = spectral_norm_power(E_mat)
-    prob = Problem(built, q, E_mat, norm_E, declared)
+    prob = Problem(built, q, E_mat, norm_E)
     check_gradient_consistency(prob, only_oracles=True)
     return prob
 
@@ -418,7 +415,7 @@ def add_slack_block(problem, sign):
     Es = -np.eye(m) if sign == "ge" else np.eye(m)
     slack = Block(E=Es, nonsmooth=NonnegIndicator())
     decl = [Block(E=b.E, A=b.A, smooth=b.smooth, nonsmooth=b.nonsmooth,
-                  box=b.box) for b in problem._declared]
+                  box=b.box) for b in problem.blocks]
     return build_problem(decl + [slack], problem.q)
 
 
@@ -428,14 +425,10 @@ def objective(problem, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError("x has shape %s, expected (%d,)" % (x.shape, problem.n))
-    total = 0.0
-    for b in problem.blocks:
-        xk = x[b.sl]
-        hv = b.h.value(xk)
-        if not np.isfinite(hv):
-            return float("inf")
-        total += b.smooth_value(xk) + hv
-    return float(total)
+    hv = problem.form.value(x)
+    if not np.isfinite(hv):
+        return float("inf")
+    return float(sum(b.smooth_value(x[b.sl]) for b in problem.blocks) + hv)
 
 
 def residual_vector(problem, x):
@@ -486,25 +479,14 @@ def check_assumptions(problem):
         b.lambda_min > 1e-10 * b.norm_E ** 2 if b.norm_E > 0 else False
         for b in problem.blocks
     ]
-    compact = []
-    for b in problem.blocks:
-        h = b.h
-        bounded = False
-        boxes = []
-        if h.kind == "box":
-            boxes = [h]
-        elif h.kind == "sum":
-            boxes = [t for t in h.terms if t.kind == "box"]
-        for bx in boxes:
-            if np.all(np.isfinite(bx.lo)) and np.all(np.isfinite(bx.hi)):
-                bounded = True
-        compact.append(bounded)
+    compact = [bool(np.isfinite(b.form.lo).all() and
+                    np.isfinite(b.form.hi).all()) for b in problem.blocks]
     strongly_convex = all(
         b.smooth is None or b.smooth.kind == "quadratic"
         for b in problem.blocks
     )
     all_rank = all(full_rank)
-    report = AssumptionReport(
+    return AssumptionReport(
         full_rank=full_rank,
         compact=compact,
         strongly_convex_g=strongly_convex,
@@ -515,7 +497,6 @@ def check_assumptions(problem):
             "jacobi_unsafe": False,
         },
     )
-    return report
 
 
 def check_gradient_consistency(problem, seed=0, n_points=3, rel_tol=1e-5,
@@ -556,7 +537,7 @@ def check_gradient_consistency(problem, seed=0, n_points=3, rel_tol=1e-5,
 def problem_to_doc(problem):
     """JSON-ready dict in the block-problem interchange schema."""
     blocks = []
-    for b in problem._declared:
+    for b in problem.blocks:
         entry = {
             "E": [[float(v) for v in row] for row in b.E],
             "A": None if b.A is None else

@@ -5,9 +5,18 @@ is
 
     prox_{t h}(v) = argmin_u  t * h(u) + (1/2) * ||u - v||^2 .
 
-Every prox here is exact: a closed form, except for the groups of a
-group-l2-in-a-box term whose shrinkage leaves the box, which take a
-one-dimensional root-find (``_prox_ball_box``).
+Every term below states its part of one separable form over disjoint
+groups J,
+
+    h(x) = <b, x> + sum_i lam_i |x_i| + sum_J w_J ||x_J||_2
+           + indicator of {lo <= x <= hi} ,
+
+whose prox shifts by t * b, soft-thresholds at t * lam, clips the
+ungrouped coordinates and makes one ``_prox_ball_box`` call on the groups
+(exact: no admitted term puts an l1 weight and a finite bound on one
+grouped coordinate). A block compiles its term into the form when the
+problem is built, and the problem concatenates the block forms, so the
+prox, value and domain projection of a whole iterate are one call each.
 
 Supported terms
 ---------------
@@ -51,10 +60,11 @@ __all__ = [
 def soft_threshold(v, t):
     """Elementwise soft-thresholding, the prox of t * ||.||_1.
 
-    Returns sign(v) * max(|v| - t, 0).
+    Returns sign(v) * max(|v| - t, 0), computed as v - clip(v, -t, t):
+    exact, and +0 inside the dead zone.
     """
     v = np.asarray(v, dtype=float)
-    return np.maximum(0.0, v - t) + np.minimum(0.0, v + t)
+    return v - np.minimum(np.maximum(v, -t), t)
 
 
 def group_shrink(v, t):
@@ -192,44 +202,41 @@ def _ball_box_group(v, lo, hi, shrink, wt, nrm):
     return [min(max(x * f, l), h) for x, l, h in zip(v, lo, hi)]
 
 
-def _group_layout(box, group_l2):
-    """(order, inverse, starts, gid, weights, lo, hi) for
-    :func:`_prox_ball_box`: the coordinates group by group, then each
-    uncovered one as a singleton group of weight 0, whose prox is the clip.
-    """
-    n = box.lo.size
-    group_l2.validate_dim(n)
-    groups = group_l2.groups
-    covered = np.array([i for J in groups for i in J], dtype=int)
-    uncovered = np.flatnonzero(np.bincount(covered, minlength=n) == 0)
-    order = np.concatenate([covered, uncovered])
-    sizes = np.array([J.size for J in groups] + [1] * uncovered.size)
-    return (
-        order,
-        np.argsort(order),
-        np.cumsum(sizes) - sizes,
-        np.repeat(np.arange(sizes.size), sizes),
-        np.concatenate([group_l2.weights, np.zeros(uncovered.size)]),
-        box.lo[order],
-        box.hi[order],
-    )
+def _index(idx):
+    """An index array as a slice when it is one contiguous run (basic
+    slicing is cheaper than fancy indexing), or None when it is empty."""
+    if idx.size == 0:
+        return None
+    start = int(idx[0])
+    if np.array_equal(idx, np.arange(start, start + idx.size)):
+        return slice(start, start + idx.size)
+    return idx
 
 
 class ProxTerm:
-    """Base class for nonsmooth terms; subclasses define value and prox."""
+    """Base class for nonsmooth terms. A subclass states its part of the
+    separable form (``_part``); its prox, value and domain projection are
+    those of the compiled form."""
 
     kind = "abstract"
 
-    def value(self, x):
+    def _part(self):
+        """The keyword arguments of :meth:`_Separable.of` this term sets."""
         raise NotImplementedError
+
+    def _form(self, n):
+        """The term compiled on n coordinates."""
+        return _Separable.of(n, **self._part())
+
+    def value(self, x):
+        return self._form(np.size(x)).value(x)
 
     def prox(self, v, t):
-        raise NotImplementedError
+        return self._form(np.size(v)).prox(v, t)
 
     def project_domain(self, v):
-        """Project v onto the effective domain of the term (identity for
-        real-valued terms)."""
-        return np.asarray(v, dtype=float).copy()
+        """Project v onto the term's domain (identity if real-valued)."""
+        return self._form(np.size(v)).project_domain(v)
 
     def validate_dim(self, n):
         """Raise ValueError if the term is inconsistent with dimension n."""
@@ -238,16 +245,92 @@ class ProxTerm:
         raise NotImplementedError
 
 
+class _Separable(ProxTerm):
+    """The separable form of the module docstring, held as per-coordinate
+    arrays b, lam, lo, hi and disjoint index groups with their weights.
+    The prox soft-thresholds only where lam_i > 0 and clips only ungrouped
+    coordinates with a finite bound; the groups' bounds are gathered once.
+    """
+
+    kind = "separable"
+
+    def __init__(self, b, lam, lo, hi, groups, weights):
+        self.b, self.lam, self.lo, self.hi = b, lam, lo, hi
+        self.groups, self.weights = groups, weights
+        order = np.concatenate(groups) if groups else np.zeros(0, dtype=int)
+        ungrouped = np.ones(lo.size, dtype=bool)
+        ungrouped[order] = False
+        l1 = np.flatnonzero(lam > 0.0)
+        clip = np.flatnonzero(ungrouped & (np.isfinite(lo) | np.isfinite(hi)))
+        sizes = np.array([J.size for J in groups], dtype=int)
+        self._shift = b if np.any(b) else None
+        # a single l1 weight is kept as a float, which is cheaper to scale
+        self._l1, self._lam = _index(l1), lam[l1]
+        if l1.size and np.all(self._lam == self._lam[0]):
+            self._lam = float(self._lam[0])
+        self._clip, self._clip_lo, self._clip_hi = (
+            _index(clip), lo[clip], hi[clip])
+        self._order, self._group_lo, self._group_hi = (
+            _index(order), lo[order], hi[order])
+        self._starts = np.cumsum(sizes) - sizes
+        self._gid = np.repeat(np.arange(sizes.size), sizes)
+
+    @classmethod
+    def of(cls, n, b=0.0, lam=0.0, lo=-np.inf, hi=np.inf, groups=(),
+           weights=()):
+        """The form on n coordinates; scalar parts apply to every one."""
+        b, lam, lo, hi = (np.broadcast_to(np.asarray(a, dtype=float), (n,))
+                          for a in (b, lam, lo, hi))
+        return cls(b, lam, lo, hi, list(groups),
+                   np.asarray(weights, dtype=float))
+
+    @classmethod
+    def concat(cls, forms):
+        """The form of the stacked vector (x_1, ..., x_K)."""
+        offsets = np.cumsum([0] + [f.lo.size for f in forms])
+        b, lam, lo, hi = (np.concatenate([getattr(f, a) for f in forms])
+                          for a in ("b", "lam", "lo", "hi"))
+        groups = [J + off for f, off in zip(forms, offsets) for J in f.groups]
+        return cls(b, lam, lo, hi, groups,
+                   np.concatenate([f.weights for f in forms]))
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        if not (np.all(self.lo <= x) and np.all(x <= self.hi)):
+            return float("inf")
+        val = float(self.b @ x + self.lam @ np.abs(x))
+        if self._order is not None:
+            xg = x[self._order]
+            val += float(self.weights @ np.sqrt(
+                np.add.reduceat(xg * xg, self._starts)))
+        return val
+
+    def prox(self, v, t):
+        u = np.array(v, dtype=float)
+        if self._shift is not None:
+            u -= t * self._shift
+        if self._l1 is not None:
+            u[self._l1] = soft_threshold(u[self._l1], t * self._lam)
+        if self._clip is not None:
+            u[self._clip] = np.clip(u[self._clip], self._clip_lo,
+                                    self._clip_hi)
+        if self._order is not None:
+            u[self._order] = _prox_ball_box(
+                u[self._order], t * self.weights, self._group_lo,
+                self._group_hi, self._starts, self._gid)
+        return u
+
+    def project_domain(self, v):
+        return np.clip(np.asarray(v, dtype=float), self.lo, self.hi)
+
+
 class Zero(ProxTerm):
     """The identically-zero term; its prox is the identity."""
 
     kind = "zero"
 
-    def value(self, x):
-        return 0.0
-
-    def prox(self, v, t):
-        return np.asarray(v, dtype=float).copy()
+    def _part(self):
+        return {}
 
     def to_doc(self):
         return {"type": "zero"}
@@ -264,11 +347,8 @@ class L1(ProxTerm):
             raise ValueError("l1 weight must be nonnegative, got %g" % lam)
         self.lam = lam
 
-    def value(self, x):
-        return self.lam * float(np.sum(np.abs(x)))
-
-    def prox(self, v, t):
-        return soft_threshold(v, t * self.lam)
+    def _part(self):
+        return {"lam": self.lam}
 
     def to_doc(self):
         return {"type": "l1", "lam": self.lam}
@@ -287,20 +367,8 @@ class GroupL2(ProxTerm):
     def __init__(self, groups, weights):
         self.groups, self.weights = _check_groups(groups, weights)
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(
-            sum(
-                w * np.linalg.norm(x[J])
-                for J, w in zip(self.groups, self.weights)
-            )
-        )
-
-    def prox(self, v, t):
-        out = np.asarray(v, dtype=float).copy()
-        for J, w in zip(self.groups, self.weights):
-            out[J] = group_shrink(out[J], t * w)
-        return out
+    def _part(self):
+        return {"groups": self.groups, "weights": self.weights}
 
     def validate_dim(self, n):
         for J in self.groups:
@@ -317,7 +385,7 @@ class GroupL2(ProxTerm):
         }
 
 
-class SparseGroup(ProxTerm):
+class SparseGroup(GroupL2):
     """h(x) = lam * ||x||_1 + sum_J w_J * ||x_J||_2.
 
     The prox composes the two shrinkages: soft-threshold every coordinate
@@ -332,35 +400,15 @@ class SparseGroup(ProxTerm):
         if lam < 0:
             raise ValueError("l1 weight must be nonnegative, got %g" % lam)
         self.lam = lam
-        self.groups, self.weights = _check_groups(groups, weights)
+        super().__init__(groups, weights)
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        val = self.lam * float(np.sum(np.abs(x)))
-        for J, w in zip(self.groups, self.weights):
-            val += w * float(np.linalg.norm(x[J]))
-        return val
-
-    def prox(self, v, t):
-        out = soft_threshold(v, t * self.lam)
-        for J, w in zip(self.groups, self.weights):
-            out[J] = group_shrink(out[J], t * w)
-        return out
-
-    def validate_dim(self, n):
-        for J in self.groups:
-            if np.any(J < 0) or np.any(J >= n):
-                raise ValueError(
-                    "group index out of range for dimension %d" % n
-                )
+    def _part(self):
+        return {"lam": self.lam, **super()._part()}
 
     def to_doc(self):
-        return {
-            "type": "sparse_group",
-            "lam": self.lam,
-            "groups": [[int(i) for i in J] for J in self.groups],
-            "weights": [float(w) for w in self.weights],
-        }
+        doc = super().to_doc()
+        return {"type": self.kind, "lam": self.lam, "groups": doc["groups"],
+                "weights": doc["weights"]}
 
 
 class BoxIndicator(ProxTerm):
@@ -378,17 +426,8 @@ class BoxIndicator(ProxTerm):
         self.lo = lo
         self.hi = hi
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.all(x >= self.lo) and np.all(x <= self.hi):
-            return 0.0
-        return float("inf")
-
-    def prox(self, v, t):
-        return np.clip(np.asarray(v, dtype=float), self.lo, self.hi)
-
-    def project_domain(self, v):
-        return self.prox(v, 1.0)
+    def _part(self):
+        return {"lo": self.lo, "hi": self.hi}
 
     def validate_dim(self, n):
         if self.lo.size != n:
@@ -410,16 +449,8 @@ class NonnegIndicator(ProxTerm):
 
     kind = "nonneg"
 
-    def value(self, x):
-        if np.all(np.asarray(x, dtype=float) >= 0.0):
-            return 0.0
-        return float("inf")
-
-    def prox(self, v, t):
-        return np.maximum(np.asarray(v, dtype=float), 0.0)
-
-    def project_domain(self, v):
-        return self.prox(v, 1.0)
+    def _part(self):
+        return {"lo": 0.0}
 
     def to_doc(self):
         return {"type": "nonneg"}
@@ -433,11 +464,8 @@ class Linear(ProxTerm):
     def __init__(self, b):
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
 
-    def value(self, x):
-        return float(np.dot(self.b, np.asarray(x, dtype=float)))
-
-    def prox(self, v, t):
-        return np.asarray(v, dtype=float) - t * self.b
+    def _part(self):
+        return {"b": self.b}
 
     def validate_dim(self, n):
         if self.b.size != n:
@@ -468,12 +496,11 @@ class Sum(ProxTerm):
     * ``BoxIndicator`` plus ``L1``: clamp the soft threshold. Each
       coordinate problem is one-dimensional and convex, so clamping the
       unconstrained minimizer into the interval is exact.
-    * ``BoxIndicator`` plus ``GroupL2``: one ``_prox_ball_box`` call for
-      all groups: the group shrinkage where it lies in the box, else a
-      zero test, else a safeguarded Newton root-find on the shrinkage
-      scale. Coordinates no group covers are clipped.
+    * ``BoxIndicator`` plus ``GroupL2``: the ball-box prox of each group
+      (``_prox_ball_box``); coordinates no group covers are clipped.
 
-    Any other combination is rejected at construction.
+    Any other combination is rejected at construction; the two terms of
+    an admitted one set disjoint parts of the separable form.
     """
 
     kind = "sum"
@@ -497,30 +524,9 @@ class Sum(ProxTerm):
                 % (kinds[0], kinds[1])
             )
         self.terms = terms
-        if terms[0].kind == "box" and terms[1].kind == "group_l2":
-            self._layout = _group_layout(*terms)
 
-    def value(self, x):
-        return sum(t.value(x) for t in self.terms)
-
-    def prox(self, v, t):
-        first, second = self.terms
-        v = np.asarray(v, dtype=float)
-        if first.kind == "linear":
-            return second.prox(v - t * first.b, t)
-        # first is the box
-        if second.kind == "l1":
-            return np.clip(second.prox(v, t), first.lo, first.hi)
-        # group_l2: one kernel call over every group, in group order
-        order, inverse, starts, gid, weights, lo, hi = self._layout
-        return _prox_ball_box(v[order], t * weights, lo, hi, starts,
-                              gid)[inverse]
-
-    def project_domain(self, v):
-        out = np.asarray(v, dtype=float).copy()
-        for t in self.terms:
-            out = t.project_domain(out)
-        return out
+    def _part(self):
+        return dict(**self.terms[0]._part(), **self.terms[1]._part())
 
     def validate_dim(self, n):
         for t in self.terms:
@@ -573,12 +579,10 @@ def merge_box(term, lo, hi):
     if kind == "zero":
         return box
     if kind == "box":
-        new_lo = np.maximum(box.lo, term.lo)
-        new_hi = np.minimum(box.hi, term.hi)
-        return BoxIndicator(new_lo, new_hi)
+        return BoxIndicator(np.maximum(box.lo, term.lo),
+                            np.minimum(box.hi, term.hi))
     if kind == "nonneg":
-        new_lo = np.maximum(box.lo, 0.0)
-        return BoxIndicator(new_lo, box.hi)
+        return BoxIndicator(np.maximum(box.lo, 0.0), box.hi)
     if kind in ("l1", "group_l2"):
         return Sum([box, term])
     if kind == "linear":
@@ -606,20 +610,13 @@ def term_to_doc(term):
 
 
 def term_from_doc(doc):
-    """Rebuild a term from its JSON dict form."""
+    """Rebuild a term from its JSON dict form, whose fields besides
+    "type" are the constructor's arguments."""
     kind = doc.get("type")
     if kind not in _TERM_TYPES:
         raise ValueError("unknown nonsmooth term type %r" % kind)
-    if kind == "zero":
-        return Zero()
-    if kind == "l1":
-        return L1(doc["lam"])
-    if kind == "group_l2":
-        return GroupL2(doc["groups"], doc["weights"])
-    if kind == "sparse_group":
-        return SparseGroup(doc["lam"], doc["groups"], doc["weights"])
-    if kind == "box":
-        return BoxIndicator(doc["lo"], doc["hi"])
-    if kind == "nonneg":
-        return NonnegIndicator()
-    return Linear(doc["b"])
+    try:
+        return _TERM_TYPES[kind](**{k: v for k, v in doc.items()
+                                    if k != "type"})
+    except TypeError as e:
+        raise ValueError("bad %s term: %s" % (kind, e)) from None

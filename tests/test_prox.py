@@ -575,7 +575,105 @@ def test_term_serialization_roundtrip():
         term_from_doc({"type": "mystery"})
 
 
+def test_term_from_doc_rejects_missing_and_unknown_fields():
+    # the fields besides "type" are the constructor's arguments
+    for doc in ({"type": "l1"}, {"type": "box", "lo": [0.0]},
+                {"type": "nonneg", "lam": 1.0}):
+        with pytest.raises(ValueError, match="bad %s term" % doc["type"]):
+            term_from_doc(doc)
+
+
 def test_soft_threshold_direct():
     v = np.array([3.0, -3.0, 0.5, -0.5, 0.0])
     out = soft_threshold(v, 1.0)
     assert np.array_equal(out, np.array([2.0, -2.0, 0.0, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the whole problem's form against its block forms, on drawn problems
+# ---------------------------------------------------------------------------
+
+def _groups(rng, n):
+    """Disjoint groups over a shuffled part of range(n); when n > 1 at
+    least one coordinate stays uncovered."""
+    perm = rng.permutation(n)
+    n_cov = int(rng.integers(1, max(n - 1, 1) + 1))
+    cuts = sorted(set(rng.integers(1, n_cov, size=2).tolist())) \
+        if n_cov > 1 else []
+    bounds = [0] + cuts + [n_cov]
+    groups = [perm[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+    return groups, rng.uniform(0.1, 1.5, size=len(groups)).tolist()
+
+
+def _bounds(rng, n):
+    return -rng.uniform(0.1, 1.5, size=n), rng.uniform(0.1, 1.5, size=n)
+
+
+# kind -> (rng, n) -> (nonsmooth term, declared box or None)
+_BLOCK_TERMS = {
+    "zero": lambda rng, n: (Zero(), None),
+    "l1": lambda rng, n: (L1(rng.uniform(0.1, 1.5)), None),
+    "group_l2": lambda rng, n: (GroupL2(*_groups(rng, n)), None),
+    "sparse_group": lambda rng, n: (
+        SparseGroup(rng.uniform(0.1, 1.5), *_groups(rng, n)), None),
+    "box": lambda rng, n: (BoxIndicator(*_bounds(rng, n)), None),
+    "nonneg": lambda rng, n: (NonnegIndicator(), None),
+    "linear": lambda rng, n: (Linear(rng.normal(size=n)), None),
+    "box+l1": lambda rng, n: (L1(rng.uniform(0.1, 1.5)), _bounds(rng, n)),
+    "box+group_l2": lambda rng, n: (GroupL2(*_groups(rng, n)),
+                                    _bounds(rng, n)),
+}
+for _kind in ("zero", "l1", "group_l2", "sparse_group", "box", "nonneg"):
+    _BLOCK_TERMS["linear+" + _kind] = (
+        lambda rng, n, kind=_kind: (
+            Sum([Linear(rng.normal(size=n)), _BLOCK_TERMS[kind](rng, n)[0]]),
+            None))
+
+
+@_PROPERTY
+@given(st.lists(st.tuples(st.sampled_from(sorted(_BLOCK_TERMS)),
+                          st.integers(1, 3), st.booleans()),
+                min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_problem_form_is_the_concatenation_of_the_block_forms(blocks, seed):
+    from blockadmm.lagrangian import proximal_gradient
+    from blockadmm.problem import Block, SmoothTerm, build_problem
+    from blockadmm.prox import _Separable
+
+    rng = np.random.default_rng(seed)
+    m = 3
+    declared = []
+    for kind, n, smooth in blocks:
+        term, box = _BLOCK_TERMS[kind](rng, n)
+        declared.append(Block(
+            E=rng.normal(size=(m, n)), nonsmooth=term, box=box,
+            smooth=SmoothTerm(b=rng.normal(size=n)) if smooth else None))
+    p = build_problem(declared, rng.normal(size=m))
+    form = p.form
+    v = rng.normal(scale=2.0, size=p.n)
+    t = float(rng.uniform(0.05, 3.0))
+
+    def by_block(op, *args):
+        return np.concatenate([op(b.form, v[b.sl], *args) for b in p.blocks])
+
+    assert form.prox(v, t).tobytes() == by_block(_Separable.prox, t).tobytes()
+    assert (form.project_domain(v).tobytes()
+            == by_block(_Separable.project_domain).tobytes())
+    x = p.project_domains(v)
+    parts = [b.form.value(x[b.sl]) for b in p.blocks]
+    scale = sum(abs(a) for a in parts) + float(np.abs(form.b) @ np.abs(x))
+    assert abs(form.value(x) - sum(parts)) <= 1e-15 * scale
+    # the prox-gradient residual is one prox of the whole vector
+    calls = []
+    original = _Separable.prox
+
+    def counting(self, v, t):
+        calls.append(t)
+        return original(self, v, t)
+
+    _Separable.prox = counting
+    try:
+        proximal_gradient(p, x, rng.normal(size=m), 1.0)
+    finally:
+        _Separable.prox = original
+    assert calls == [1.0]
