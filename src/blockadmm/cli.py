@@ -1,8 +1,9 @@
 """Command-line interface: gen, solve, sweep, diagnose.
 
 Exit codes: 0 success; 1 usage or input error; 2 solver failure
-(divergence, iteration cap, or runtime error during the solve);
-3 diagnostics violation (at least one per-iteration check failed).
+(divergence, an iteration cap, or a runtime error during the solve, the
+reference solve or the diagnosis); 3 diagnostics violation (at least one
+per-iteration check failed).
 """
 
 from __future__ import annotations
@@ -169,6 +170,12 @@ def _parse_float_or_auto(text, name, parser):
         parser.error("%s must be a float or 'auto', got %r" % (name, text))
 
 
+def _check_tol_ref(tol_ref, parser):
+    """The reference accuracy reference_solution accepts, (0, 1e-10]."""
+    if not 0 < tol_ref <= 1e-10:
+        parser.error("--tol-ref must be in (0, 1e-10], got %g" % tol_ref)
+
+
 def _cmd_solve(args, parser):
     problem = _load_problem(args.problem, parser)
     config = SolverConfig(
@@ -222,6 +229,7 @@ _SWEEP_COLUMNS = ("variant", "alpha", "rho", "termination", "iterations",
 
 
 def _cmd_sweep(args, parser):
+    _check_tol_ref(args.tol_ref, parser)
     problem = _load_problem(args.problem, parser)
     try:
         alphas = [float(tok) for tok in args.alpha_grid.split(",") if tok]
@@ -233,7 +241,12 @@ def _cmd_sweep(args, parser):
     for key in variant_keys:
         if key not in VARIANT_NAMES:
             parser.error("unknown variant %r" % key)
-    reference = reference_solution(problem, args.rho, tol_ref=args.tol_ref)
+    try:
+        reference = reference_solution(problem, args.rho,
+                                       tol_ref=args.tol_ref)
+    except (ValueError, RuntimeError) as e:
+        print("sweep failed: %s" % e, file=sys.stderr)
+        return 2
     rows = []
     for key in variant_keys:
         for alpha in alphas:
@@ -283,6 +296,7 @@ def _cmd_sweep(args, parser):
 
 
 def _cmd_diagnose(args, parser):
+    _check_tol_ref(args.tol_ref, parser)
     problem = _load_problem(args.problem, parser)
     try:
         records = read_trace_csv(args.trace)
@@ -301,10 +315,14 @@ def _cmd_diagnose(args, parser):
     rho = float(meta.get("rho", 1.0))
     variant = meta.get("variant", "gauss_seidel")
     beta = meta.get("beta")
-    report, rows, _ = run_diagnostics(
-        problem, records, rho, variant=variant, beta=beta,
-        tol_ref=args.tol_ref, seed=args.seed,
-    )
+    try:
+        report, rows, _ = run_diagnostics(
+            problem, records, rho, variant=variant, beta=beta,
+            tol_ref=args.tol_ref, seed=args.seed,
+        )
+    except (ValueError, RuntimeError) as e:
+        print("diagnosis failed: %s" % e, file=sys.stderr)
+        return 2
     if args.checks:
         write_checks_csv(rows, args.checks)
     _write_json(report.to_doc(), args.report)

@@ -13,7 +13,19 @@ grad d(y) = q - E x(y) for any inner minimizer x(y); the constraint image
 E x(y) is the same for every inner minimizer, which is what makes the
 gradient well defined, and grad d is Lipschitz with constant 1 / rho.
 
-The inner minimization iterates the cyclic block coordinate descent
+When every block's smooth gradient is affine and h has no groups (l1,
+box, nonneg and linear terms only), L(.; y) is a polyhedral-quadratic
+function, 1/2 x^T H x + c^T x + h(x) with H = blockdiag(hess_smooth_k) +
+rho E^T E and c = -E^T (y + rho q) - lin_smooth, and a finite number of
+active-set steps minimize it exactly. The inner minimization then first
+runs the safeguarded semismooth Newton kernel of the separable form
+(:meth:`blockadmm.prox._Separable.newton`; Hintermueller, Ito & Kunisch,
+SIAM J. Optim. 13, 2002; Li, Sun & Toh, arXiv:1607.05428), whose steps
+are accepted only while the prox-gradient residual below falls, and
+hands its best point to the sweeps when it stops short of the tolerance.
+
+Otherwise, or after such a hand-over, the inner minimization iterates
+the cyclic block coordinate descent
 sweep x -> S(x), which is the solver's own Gauss-Seidel primal pass
 (``blockadmm.solvers._primal_gauss_seidel``: each block subproblem is
 solved to high accuracy by :func:`blockadmm.solvers.solve_block`). It
@@ -121,7 +133,9 @@ class InnerSolveResult:
     d_value : d(y) = L(x_of_y; y).
     dual_grad : q - E x_of_y.
     prox_grad_norm_at_exit : residual norm at the returned iterate.
-    iterations : number of full block sweeps performed.
+    iterations : number of full block sweeps performed (0 when the
+        Newton kernel alone met the tolerance).
+    newton_steps : number of whole-problem Newton steps solved.
     """
 
     x_of_y: np.ndarray
@@ -129,6 +143,7 @@ class InnerSolveResult:
     dual_grad: np.ndarray
     prox_grad_norm_at_exit: float
     iterations: int
+    newton_steps: int
 
 
 # Number of past sweep residuals the Anderson extrapolation combines.
@@ -137,8 +152,18 @@ _ANDERSON_MEMORY = 5
 
 def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
                         max_sweeps=None):
-    """Minimize L(.; y) by Anderson-accelerated cyclic block coordinate
-    descent.
+    """Minimize L(.; y) by an exact active-set Newton solve where L(.; y)
+    is polyhedral-quadratic, else (or when Newton stops short) by
+    Anderson-accelerated cyclic block coordinate descent.
+
+    The Newton kernel runs first when every block has an affine smooth
+    gradient (``problem.hessian(rho)`` is not None) and the problem's
+    form has no groups. Each step fixes the coordinates the prox zeroes
+    or clamps and solves for the rest with H = ``problem.hessian(rho)``;
+    it is kept only if its linear solve is accurate to ``tol`` and the
+    full prox-gradient residual falls, and the loop stops on a repeated
+    active set. Its best point starts the sweeps when the residual is
+    still above ``tol``; ``newton_steps`` in the result counts its steps.
 
     Each sweep S is the Gauss-Seidel primal pass of the solver: it
     solves every block subproblem exactly (to a tolerance well below
@@ -157,7 +182,8 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
 
     The solve stops once the full prox-gradient residual norm is at most
     ``tol``; ``iterations`` in the result counts sweeps, and a warm start
-    that already meets ``tol`` returns after none. Raises
+    that already meets ``tol``, or a Newton solve that does, returns
+    after none. Raises
     ConvergenceError (carrying the best iterate seen, swept or
     extrapolated) if the sweep cap is reached.
     """
@@ -182,6 +208,12 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
         return float(np.linalg.norm(proximal_gradient(problem, z, y, rho)))
 
     npg = pg_norm(x)
+    newton_steps = 0
+    H = None if problem.form.groups else problem.hessian(rho)
+    if H is not None and not npg <= tol:
+        c = -(problem.E_mat.T @ (y + rho * problem.q)) - problem.lin_smooth
+        x, npg, newton_steps = problem.form.newton(H, c, x, tol, npg,
+                                                   residual=pg_norm)
     best_norm = npg
     best_x = x.copy()
     sweeps = 0
@@ -228,6 +260,7 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
         dual_grad=dual_grad,
         prox_grad_norm_at_exit=npg,
         iterations=sweeps,
+        newton_steps=newton_steps,
     )
 
 

@@ -261,8 +261,8 @@ class _BuiltBlock:
 class Problem:
     """A validated block problem. Its data are immutable after build and
     safe to share; each block memoizes its block-solve constants for the
-    last rho it was solved at (``_BuiltBlock.constants``), which changes
-    no result.
+    last rho it was solved at (``_BuiltBlock.constants``), and the
+    problem its Hessian (``hessian``), which changes no result.
 
     Attributes
     ----------
@@ -275,6 +275,9 @@ class Problem:
         the global ||E||.
     form : the block forms concatenated, so that the prox, value and
         domain projection of a flat iterate are one call each.
+    lin_smooth : the blocks' lin_smooth concatenated, so that the smooth
+        gradient is hessian(0) x - lin_smooth; None when some block's
+        smooth gradient is not affine.
     """
 
     def __init__(self, blocks, q, E_mat, norm_E):
@@ -286,6 +289,10 @@ class Problem:
         self.E_mat = E_mat
         self.norm_E = norm_E
         self.form = _Separable.concat([b.form for b in blocks])
+        affine = all(b.hess_smooth is not None for b in blocks)
+        self.lin_smooth = np.concatenate(
+            [b.lin_smooth for b in blocks]) if affine else None
+        self._hessian = None          # (rho, hessian(rho)) of the last rho
         self.metadata = {
             "norm_E": norm_E,
             "lambda_min_blocks": [b.lambda_min for b in blocks],
@@ -297,6 +304,22 @@ class Problem:
             b.E.setflags(write=False)
             if b.A is not None:
                 b.A.setflags(write=False)
+
+    def hessian(self, rho):
+        """Hessian of the smooth part of L(.; y), the block diagonal of
+        the blocks' hess_smooth plus rho * E^T E, or None when some
+        block's smooth gradient is not affine (then ``lin_smooth`` is
+        None too). Only the last rho is kept."""
+        if self.lin_smooth is None:
+            return None
+        memo = self._hessian
+        if memo is not None and memo[0] == rho:
+            return memo[1]
+        H = rho * (self.E_mat.T @ self.E_mat)
+        for b in self.blocks:
+            H[b.sl, b.sl] += b.hess_smooth
+        self._hessian = (rho, H)
+        return H
 
     def apply_E(self, x):
         """E x for a flat iterate x."""

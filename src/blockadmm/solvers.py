@@ -22,8 +22,8 @@ Primal passes:
 One function, ``_primal_pass``, takes the pass of any variant; ``run``
 and the public ``step_*`` functions both call it, and the inner
 minimization of :mod:`blockadmm.lagrangian` repeats the Gauss-Seidel
-pass to evaluate d(y). Block solves read their per-rho constants from
-the block (``_BuiltBlock.constants``).
+pass to evaluate d(y) where its Newton solve does not. Block solves read
+their per-rho constants from the block (``_BuiltBlock.constants``).
 
 With alpha="auto" the driver starts at alpha = 0.1 * rho and enforces
 monotonicity of the combined optimality gap via a lookahead: a candidate
@@ -31,7 +31,10 @@ dual step is committed only if the monitored quantity
 L(x^{r+2}; y^{r+1}) - 2 d(y^{r+1}), whose decrease is equivalent to the
 decrease of the combined primal-dual gap, does not increase. Otherwise
 alpha is halved (at most 6 times per iteration) and the candidate is
-discarded, i.e. the run restarts from the last monotone iterate.
+discarded, i.e. the run restarts from the last monotone iterate. If
+one of the monitor's inner solves hits its cap, the run ends with
+termination "inner_cap", keeping its records and the last accepted
+iterate.
 """
 
 from __future__ import annotations
@@ -109,7 +112,8 @@ class RunResult:
     x: np.ndarray
     y: np.ndarray
     iterations: int
-    termination: str  # converged | max_iters | non_monotone_warning | diverged
+    # converged | max_iters | non_monotone_warning | diverged | inner_cap
+    termination: str
     records: list
     final_alpha: float
     objective: float
@@ -155,8 +159,13 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     stops when the block prox-gradient residual is at most ``tol_block``;
     a warm start that already satisfies the tolerance returns
     immediately. Scalar-curvature blocks are solved in closed form via a
-    single prox; unconstrained quadratic blocks by a linear solve; the
-    rest by an accelerated prox-gradient loop with adaptive restart.
+    single prox; unconstrained quadratic blocks by a linear solve. Other
+    blocks with an affine smooth gradient and a term without groups (l1,
+    box, nonneg, linear) first try the safeguarded active-set Newton
+    kernel of the separable form (``_Separable.newton``) on the
+    subproblem Hessian H; the rest, and any Newton solve that stops
+    short of ``tol_block``, go to an accelerated prox-gradient loop with
+    adaptive restart, started from Newton's best point.
     """
     if rho <= 0:
         raise ValueError("rho must be positive, got %g" % rho)
@@ -206,6 +215,11 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     best = (float(np.linalg.norm(res)), u)
     if best[0] <= tol_block:
         return u
+    if H is not None and not form.groups:
+        u, res_norm, _ = form.newton(H, g0, u, tol_block, best[0])
+        if res_norm <= tol_block:
+            return u
+        best = (res_norm, u)
     z = u.copy()
     t_mom = 1.0
     gate = 4.0 * step * tol_block
@@ -465,24 +479,34 @@ def run(problem, config=None, init=None, **overrides):
                     non_monotone = True
             res_next = problem.apply_E(x_next) - problem.q
             if auto:
-                if mu_prev is None:
-                    inner = dual_eval(y, x_next)
-                    d_cur, xbar_cur = inner.d_value, inner.x_of_y
-                    mu_prev = L_val - 2.0 * d_cur
                 used_alpha = alpha
                 accepted = False
-                for attempt in range(7):
-                    y_cand = _dual_ascent(y, used_alpha, res_next)
-                    x_next2, w2 = _primal_pass(problem, variant, x_next,
-                                               y_cand, rho, tol_block, beta)
-                    cand = dual_eval(y_cand, x_next2)
-                    mu_cand = (augmented_lagrangian(problem, x_next2, y_cand,
-                                                    rho) - 2.0 * cand.d_value)
-                    if mu_cand <= mu_prev + _MONITOR_SLACK:
-                        accepted = True
-                        break
-                    if attempt < 6:
-                        used_alpha *= 0.5
+                try:
+                    if mu_prev is None:
+                        inner = dual_eval(y, x_next)
+                        d_cur, xbar_cur = inner.d_value, inner.x_of_y
+                        mu_prev = L_val - 2.0 * d_cur
+                    for attempt in range(7):
+                        y_cand = _dual_ascent(y, used_alpha, res_next)
+                        x_next2, w2 = _primal_pass(problem, variant, x_next,
+                                                   y_cand, rho, tol_block,
+                                                   beta)
+                        cand = dual_eval(y_cand, x_next2)
+                        mu_cand = (augmented_lagrangian(
+                            problem, x_next2, y_cand, rho)
+                            - 2.0 * cand.d_value)
+                        if mu_cand <= mu_prev + _MONITOR_SLACK:
+                            accepted = True
+                            break
+                        if attempt < 6:
+                            used_alpha *= 0.5
+                except ConvergenceError as e:
+                    termination = "inner_cap"
+                    warnings.append(
+                        "the monitor's inner solve hit its cap at "
+                        "iteration %d; the result holds the last accepted "
+                        "iterate (%s)" % (r, e))
+                    break
                 if not accepted:
                     if not non_monotone:
                         warnings.append(

@@ -8,10 +8,12 @@ import sys
 import numpy as np
 import pytest
 
+from blockadmm import solvers
 from blockadmm.cli import main
 from blockadmm.diagnostics import run_diagnostics
 from blockadmm.generators import gen_l1_kblock
-from blockadmm.prox import L1
+from blockadmm.lagrangian import ConvergenceError
+from blockadmm.prox import L1, GroupL2
 from blockadmm.problem import (
     Block,
     build_problem,
@@ -148,6 +150,74 @@ def test_solve_reports_a_degenerate_block_as_a_solver_failure(
         main(["solve", "--problem", str(prob), "--rho", "-1"])
     assert info.value.code == 1
     assert "rho must be positive" in capsys.readouterr().err
+
+
+def test_solve_keeps_the_trace_when_an_inner_solve_hits_its_cap(
+        tmp_path, monkeypatch, capsys):
+    # the monitor's fifth d(y) solve is the lookahead of iteration 3
+    calls = []
+    original = solvers.minimize_lagrangian
+
+    def capped(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 5:
+            raise ConvergenceError("inner minimization hit its cap")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "minimize_lagrangian", capped)
+    prob = _gen_kblock(tmp_path)
+    trace = tmp_path / "t.csv"
+    report = tmp_path / "r.json"
+    rc = main(["solve", "--problem", str(prob), "--alpha", "auto",
+               "--trace", str(trace), "--report", str(report)])
+    assert rc == 2
+    doc = json.loads(report.read_text())
+    assert doc["termination"] == "inner_cap" and doc["iterations"] == 3
+    assert len(read_trace_csv(str(trace))) == 3
+    assert len(read_states(states_path_for(str(trace)))[1]) == 3
+    assert "cap at iteration 3" in capsys.readouterr().err
+
+
+def _degenerate_group_problem(tmp_path):
+    """E_1 = 0 under a group-l2 term: the reference solve's block sweep
+    finds block 1 without curvature. Also returns a well-posed problem
+    of the same shape for a trace to diagnose against it."""
+    paths = []
+    for name, e1 in (("bad.json", 0.0), ("ok.json", 1.0)):
+        save_problem(build_problem(
+            [Block(E=[[1.0], [0.0]], nonsmooth=L1(1.0)),
+             Block(E=[[0.0], [e1]], nonsmooth=GroupL2([[0]], [1.0]))],
+            [1.0, 0.0]), str(tmp_path / name))
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+def test_diagnose_and_sweep_name_a_failed_reference_solve(tmp_path, capsys):
+    bad, ok = _degenerate_group_problem(tmp_path)
+    trace = str(tmp_path / "t.csv")
+    assert main(["solve", "--problem", ok, "--alpha", "0.1",
+                 "--max-iters", "5", "--trace", trace, "--report",
+                 str(tmp_path / "r.json")]) == 2
+    capsys.readouterr()
+    rc = main(["diagnose", "--problem", bad, "--trace", trace])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "diagnosis failed: block 1 has no curvature" in err
+    rc = main(["sweep", "--problem", bad, "--alpha-grid", "0.1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "sweep failed: block 1 has no curvature" in err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "sweep"])
+def test_out_of_range_tol_ref_is_a_usage_error(tmp_path, capsys, command):
+    prob = str(_gen_kblock(tmp_path))
+    extra = (["--trace", str(tmp_path / "t.csv")] if command == "diagnose"
+             else ["--alpha-grid", "0.1"])
+    with pytest.raises(SystemExit) as info:
+        main([command, "--problem", prob, "--tol-ref", "1e-3"] + extra)
+    assert info.value.code == 1
+    assert "--tol-ref must be in (0, 1e-10]" in capsys.readouterr().err
 
 
 def test_solve_rejects_bad_alpha(tmp_path, capsys):

@@ -1,0 +1,147 @@
+"""The active-set Newton kernel against the iterative paths it shortcuts.
+
+``_Separable.newton`` solves polyhedral-quadratic problems exactly when
+it can and otherwise hands its best point back to the caller. On random
+group-free problems (l1, boxes that may exclude 0, a linear shift,
+nonneg; coupling matrices that may be rank deficient) the block solve
+must agree with the accelerated prox-gradient loop, and the dual
+function with the Anderson-accelerated sweeps; the kernel is switched
+off by replacing it with one that returns its starting point.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from blockadmm.generators import gen_group_l2, gen_lasso
+from blockadmm.lagrangian import minimize_lagrangian, proximal_gradient
+from blockadmm.problem import Block, SmoothTerm, build_problem, objective
+from blockadmm.prox import L1, Linear, NonnegIndicator, _Separable
+from blockadmm import solvers
+
+TOL = 1e-10
+
+_KINDS = ("l1", "l1_box", "box", "nonneg", "linear_box")
+
+
+def _no_newton(self, H, c, u, tol, norm, residual=None):
+    return u, norm, 0
+
+
+@st.composite
+def problems(draw):
+    """A random group-free problem: K blocks, each one term kind, with
+    coupling matrices that often lack full column rank (more columns
+    than rows, or a repeated column)."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    K = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    blocks = []
+    for _ in range(K):
+        if draw(st.booleans()):
+            n_k = m + draw(st.integers(1, 3))
+        else:
+            n_k = draw(st.integers(1, m))
+        kind = draw(st.sampled_from(_KINDS))
+        E = rng.standard_normal((m, n_k))
+        if n_k > 1 and draw(st.booleans()):
+            E[:, -1] = E[:, 0]
+        smooth = A = None
+        if draw(st.booleans()):
+            A = rng.standard_normal((draw(st.integers(1, 3)), n_k))
+            smooth = SmoothTerm(b=rng.standard_normal(A.shape[0]))
+        lo = rng.uniform(-2.0, 1.0, n_k)
+        box = (lo, lo + rng.uniform(0.2, 2.0, n_k))
+        nonsmooth = {
+            "l1": L1(rng.uniform(0.1, 1.0)),
+            "l1_box": L1(rng.uniform(0.1, 1.0)),
+            "box": None,
+            "nonneg": NonnegIndicator(),
+            "linear_box": Linear(rng.standard_normal(n_k)),
+        }[kind]
+        blocks.append(Block(E=E, A=A, smooth=smooth, nonsmooth=nonsmooth,
+                            box=box if kind.endswith("box") else None))
+    p = build_problem(blocks, rng.standard_normal(m))
+    y = rng.normal(scale=3.0, size=m)
+    x = rng.normal(scale=3.0, size=p.n)
+    return p, y, x
+
+
+def _block_value(p, k, x, y, rho, u):
+    """The block subproblem's objective at u, others fixed at x."""
+    x = x.copy()
+    x[p.blocks[k].sl] = u
+    res = p.apply_E(x) - p.q
+    b = p.blocks[k]
+    return (b.smooth_value(u) + b.form.value(u) - float(y @ res)
+            + 0.5 * rho * float(res @ res))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problems(), st.sampled_from([0.5, 1.0, 2.0]))
+def test_block_newton_agrees_with_prox_gradient_loop(case, rho):
+    p, y, x = case
+    for k, b in enumerate(p.blocks):
+        u_newton = solvers.solve_block(p, k, x, y, rho, TOL)
+        with mock.patch.object(_Separable, "newton", _no_newton):
+            u_loop = solvers.solve_block(p, k, x, y, rho, TOL)
+        for u in (u_newton, u_loop):
+            xu = x.copy()
+            xu[b.sl] = u
+            assert np.all(b.form.lo <= u) and np.all(u <= b.form.hi)
+            assert np.linalg.norm(
+                proximal_gradient(p, xu, y, rho)[b.sl]) <= TOL
+        v_newton = _block_value(p, k, x, y, rho, u_newton)
+        v_loop = _block_value(p, k, x, y, rho, u_loop)
+        assert abs(v_newton - v_loop) <= 10 * TOL * (1.0 + abs(v_loop))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(problems())
+def test_dual_function_newton_agrees_with_block_sweeps(case):
+    p, y, x = case
+    rho = 1.0
+    exact = minimize_lagrangian(p, y, rho, tol=TOL, warm_start=x)
+    with mock.patch.object(_Separable, "newton", _no_newton):
+        swept = minimize_lagrangian(p, y, rho, tol=TOL, warm_start=x)
+    assert swept.newton_steps == 0
+    for res in (exact, swept):
+        assert res.prox_grad_norm_at_exit <= TOL
+        assert np.isfinite(objective(p, res.x_of_y))
+    assert abs(exact.d_value - swept.d_value) <= \
+        10 * TOL * (1.0 + abs(swept.d_value))
+    assert np.linalg.norm(p.apply_E(exact.x_of_y)
+                          - p.apply_E(swept.x_of_y)) < 1e-8
+
+
+def _monitor_solves(monkeypatch, problem, **config):
+    """Every d(y) result the auto-alpha monitor of ``run`` computes."""
+    results = []
+    original = solvers.minimize_lagrangian
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "minimize_lagrangian", spy)
+    res = solvers.run(problem, alpha="auto", **config)
+    return res, results
+
+
+def test_monitor_solves_finish_on_the_newton_path(monkeypatch):
+    res, inner = _monitor_solves(
+        monkeypatch, gen_lasso(n_obs=40, n_feat=16, seed=0),
+        variant="proximal", rho=0.2, max_iters=5000)
+    assert res.termination == "converged"
+    newton_only = sum(1 for r in inner if r.iterations == 0)
+    assert newton_only >= 0.99 * len(inner)
+
+
+def test_group_problems_bypass_the_newton_kernel(monkeypatch):
+    _, inner = _monitor_solves(
+        monkeypatch, gen_group_l2(m=30, K=3, n_k=2, seed=0),
+        variant="gauss_seidel", rho=1.0, max_iters=40)
+    assert len(inner) > 40
+    assert all(r.newton_steps == 0 for r in inner)

@@ -27,6 +27,7 @@ from blockadmm.solvers import (
     step_proximal,
 )
 from blockadmm.trace import records_equal
+from blockadmm import solvers
 
 
 def _mixed_problem(seed=0, m=3):
@@ -503,6 +504,27 @@ def test_run_reports_divergence_with_last_finite_iterate():
     assert np.array_equal(res.x, res.records[-1].x_next)
     assert any("non-finite at iteration %d" % res.iterations in note
                for note in res.warnings)
+
+
+def test_run_names_an_inner_solve_cap(monkeypatch):
+    # the monitor's fifth d(y) solve is the lookahead of iteration 3
+    # (iteration 0 also solves d(y^0)); make it hit its cap
+    calls = []
+    original = solvers.minimize_lagrangian
+
+    def capped(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 5:
+            raise ConvergenceError("inner minimization hit its cap")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "minimize_lagrangian", capped)
+    p = gen_lasso(n_obs=20, n_feat=8, seed=0)
+    res = run(p, variant="proximal", rho=0.2, alpha="auto", max_iters=50)
+    assert res.termination == "inner_cap"
+    assert res.iterations == 3 and len(res.records) == 3
+    assert np.array_equal(res.x, res.records[-1].x_next)
+    assert any("cap at iteration 3" in note for note in res.warnings)
 
 
 def test_run_config_validation():
