@@ -15,6 +15,7 @@ import json
 import sys
 
 from .diagnostics import (
+    _combined_monotone_rows,
     compute_gaps,
     estimate_rate,
     reference_solution,
@@ -264,11 +265,8 @@ def _cmd_sweep(args, parser):
                 result = run(problem, config)
                 records, _ = compute_gaps(problem, result.records,
                                           reference, args.rho)
-                mono = all(
-                    cur.combined - prev.combined <= 10.0 * args.tol_ref
-                    for prev, cur in zip(records, records[1:])
-                    if cur.r == prev.r + 1
-                )
+                mono = all(row.passed for row in
+                           _combined_monotone_rows(records, args.tol_ref))
                 try:
                     fit = estimate_rate(records,
                                         noise_floor=100.0 * args.tol_ref)

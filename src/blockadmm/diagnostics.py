@@ -534,6 +534,18 @@ class DiagnosticsReport:
         }
 
 
+def _combined_monotone_rows(records, tol_ref):
+    """One row per consecutive pair of records: the combined gap may rise
+    by at most 10 * tol_ref, the noise of a reference solved to tol_ref."""
+    rows = []
+    for prev, cur in zip(records, records[1:]):
+        if cur.r == prev.r + 1:
+            diff = cur.combined - prev.combined
+            rows.append(CheckRow(cur.r, "combined_monotone", diff, 0.0,
+                                 10.0 * tol_ref, diff <= 10.0 * tol_ref))
+    return rows
+
+
 def _sigma_emp(records, step_floor):
     worst = 0.0
     for rec in records:
@@ -570,15 +582,9 @@ def run_diagnostics(problem, records, rho, variant="gauss_seidel",
     fv_rows, _fv_fit = check_function_value_convergence(
         problem, records, reference, rho)
     rows += fv_rows
-    mono = True
-    for prev, cur in zip(records, records[1:]):
-        if cur.r != prev.r + 1:
-            continue
-        diff = cur.combined - prev.combined
-        ok = diff <= 10.0 * tol_ref
-        rows.append(CheckRow(cur.r, "combined_monotone", diff, 0.0,
-                             10.0 * tol_ref, ok))
-        mono = mono and ok
+    mono_rows = _combined_monotone_rows(records, tol_ref)
+    rows += mono_rows
+    mono = all(row.passed for row in mono_rows)
     try:
         fit = estimate_rate(records, noise_floor=100.0 * tol_ref)
         rate_mu, fit_r2 = fit.mu, fit.r2

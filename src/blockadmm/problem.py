@@ -212,34 +212,28 @@ class _BuiltBlock:
         self._constants = None        # (rho, constants(rho)) of the last rho
 
     def constants(self, rho):
-        """Block-solve constants at penalty rho, as (H, scalar_eta, H_inv,
-        step_L).
+        """Block-solve constants at penalty rho, as (H, scalar_eta, step_L).
 
         H = hess_smooth + rho * EtE is the subproblem Hessian (None when
         the smooth gradient is not affine); scalar_eta is eta when H is
-        eta * I with eta > 0, else None; H_inv is the inverse of a
-        positive definite H on a block with no nonsmooth term, else None;
-        step_L is the curvature bound of the prox-gradient loop. Only the
-        last rho is kept, so a sweep over rho holds one entry.
+        eta * I with eta > 0, else None; step_L is the curvature bound of
+        the prox-gradient loop, zero on a block without curvature. Only
+        the last rho is kept, so a sweep over rho holds one entry.
         """
         memo = self._constants
         if memo is not None and memo[0] == rho:
             return memo[1]
-        H = scalar_eta = H_inv = None
+        H = scalar_eta = None
         if self.hess_smooth is not None:
             H = self.hess_smooth + rho * self.EtE
             eta = float(np.trace(H)) / self.n_k
             off = H - eta * np.eye(self.n_k)
             if eta > 0 and float(np.linalg.norm(off)) <= 1e-10 * max(1.0, eta):
                 scalar_eta = eta
-            evals = np.linalg.eigvalsh(H)
-            step_L = float(max(evals[-1], 0.0))
-            posdef = evals[0] > 1e-14 * max(evals[-1], 1.0)
-            if posdef and self.h.kind == "zero":
-                H_inv = np.linalg.inv(H)
+            step_L = float(max(np.linalg.eigvalsh(H)[-1], 0.0))
         else:
             step_L = self.lipschitz + rho * self.norm_E ** 2
-        constants = (H, scalar_eta, H_inv, step_L)
+        constants = (H, scalar_eta, step_L)
         self._constants = (rho, constants)
         return constants
 

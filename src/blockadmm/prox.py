@@ -331,7 +331,7 @@ class _Separable(ProxTerm):
     def project_domain(self, v):
         return np.clip(np.asarray(v, dtype=float), self.lo, self.hi)
 
-    def newton(self, H, c, u, tol, norm, residual=None):
+    def newton(self, H, c, u, tol, norm, residual):
         """Safeguarded active-set Newton for min_u 1/2 u^T H u + c^T u + h(u)
         with H positive semidefinite and h this form without groups.
 
@@ -343,19 +343,16 @@ class _Separable(ProxTerm):
             H_FF u_F = -(c + b + lam * sign)_F - H_FA u_A
 
         on the free set F; the new point is projected onto the domain.
-        ``norm`` is the caller's residual norm at u and ``residual(z)``
-        evaluates it elsewhere (default ||R(z)||). A step is taken only if
-        the linear residual of its solve is at most ``tol`` and the
-        caller's residual falls; a repeated active set, a singular or
-        inexact solve, a residual that does not fall, or the step cap
-        ends the loop. Returns (point, its residual norm, steps solved):
-        the best point seen, which meets ``tol`` or goes to the caller's
-        fallback.
+        With no l1 weights and no bounds every coordinate is free and the
+        first step is the linear solve H u = -(c + b). ``norm`` is the
+        caller's residual norm at u and ``residual(z)`` evaluates it
+        elsewhere, e.g. ||R(z)||. A step is taken only if the linear
+        residual of its solve is at most ``tol`` and the caller's residual
+        falls; a repeated active set, a singular or inexact solve, a
+        residual that does not fall, or the step cap ends the loop.
+        Returns (point, its residual norm, steps solved): the best point
+        seen, which meets ``tol`` or goes to the caller's fallback.
         """
-        if residual is None:
-            def residual(z):
-                return float(np.linalg.norm(
-                    z - self.prox(z - (H @ z + c), 1.0)))
         seen = set()
         steps = 0
         while norm > tol and steps < _NEWTON_MAX_STEPS:
@@ -637,26 +634,18 @@ def merge_box(term, lo, hi):
     """Fold box bounds into a nonsmooth term, returning an exact-prox term.
 
     Used when building problems: declared box constraints become part of
-    the block's nonsmooth term. Combinations without an exact joint prox
-    are rejected.
+    the block's nonsmooth term. A box or nonneg term is intersected with
+    the box; any other term is summed with it, and ``Sum`` rejects the
+    combinations without an exact joint prox.
     """
     box = BoxIndicator(lo, hi)
-    kind = term.kind
-    if kind == "zero":
+    if term.kind == "zero":
         return box
-    if kind == "box":
-        return BoxIndicator(np.maximum(box.lo, term.lo),
-                            np.minimum(box.hi, term.hi))
-    if kind == "nonneg":
-        return BoxIndicator(np.maximum(box.lo, 0.0), box.hi)
-    if kind in ("l1", "group_l2"):
-        return Sum([box, term])
-    if kind == "linear":
-        return Sum([term, box])
-    raise ValueError(
-        "cannot combine box bounds with a %r term and keep an exact prox"
-        % kind
-    )
+    if term.kind in ("box", "nonneg"):
+        part = term._part()
+        return BoxIndicator(np.maximum(box.lo, part["lo"]),
+                            np.minimum(box.hi, part.get("hi", np.inf)))
+    return Sum([box, term])
 
 
 _TERM_TYPES = {

@@ -159,13 +159,15 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     stops when the block prox-gradient residual is at most ``tol_block``;
     a warm start that already satisfies the tolerance returns
     immediately. Scalar-curvature blocks are solved in closed form via a
-    single prox; unconstrained quadratic blocks by a linear solve. Other
-    blocks with an affine smooth gradient and a term without groups (l1,
-    box, nonneg, linear) first try the safeguarded active-set Newton
-    kernel of the separable form (``_Separable.newton``) on the
-    subproblem Hessian H; the rest, and any Newton solve that stops
+    single prox. Other blocks with an affine smooth gradient and a term
+    without groups (none, l1, box, nonneg, linear) first try the
+    safeguarded active-set Newton kernel of the separable form
+    (``_Separable.newton``) on the subproblem Hessian H; with no term
+    its first step is the linear solve H u = -g0, kept only when it is
+    accurate to ``tol_block``. The rest, and any Newton solve that stops
     short of ``tol_block``, go to an accelerated prox-gradient loop with
-    adaptive restart, started from Newton's best point.
+    adaptive restart, started from Newton's best point. A block without
+    curvature raises ValueError.
     """
     if rho <= 0:
         raise ValueError("rho must be positive, got %g" % rho)
@@ -176,7 +178,7 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         coupling = problem.apply_E(x) - b.E @ xk0 - problem.q
     Ety = b.E.T @ y
     lin0 = rho * (b.E.T @ coupling) - Ety
-    H, eta, Hinv, step_L = b.constants(rho)
+    H, eta, step_L = b.constants(rho)
     if H is not None:
         g0 = lin0 - b.lin_smooth
 
@@ -189,20 +191,6 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     form = b.form
     if eta is not None:
         return form.prox(-g0 / eta, 1.0 / eta)
-    if H is not None and b.h.kind == "zero":
-        if Hinv is not None:
-            u = Hinv @ (-g0)
-            if float(np.linalg.norm(H @ u + g0)) <= max(tol_block, 1e-12) * (
-                    1.0 + float(np.linalg.norm(g0))):
-                return u
-            return np.linalg.solve(H, -g0)
-        u, *_ = np.linalg.lstsq(H, -g0, rcond=None)
-        if float(np.linalg.norm(H @ u + g0)) <= max(tol_block, 1e-10) * (
-                1.0 + float(np.linalg.norm(g0))):
-            return u
-        # inconsistent system: fall through to the iterative path, which
-        # will fail to converge and report the best iterate.
-
     if step_L <= 0:
         raise ValueError(
             "block %d has no curvature; its subproblem is unbounded or "
@@ -210,13 +198,15 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         )
     step = 1.0 / step_L
 
+    def residual(z):
+        return float(np.linalg.norm(z - form.prox(z - grad_phi(z), 1.0)))
+
     u = form.project_domain(xk0)
-    res = u - form.prox(u - grad_phi(u), 1.0)
-    best = (float(np.linalg.norm(res)), u)
+    best = (residual(u), u)
     if best[0] <= tol_block:
         return u
     if H is not None and not form.groups:
-        u, res_norm, _ = form.newton(H, g0, u, tol_block, best[0])
+        u, res_norm, _ = form.newton(H, g0, u, tol_block, best[0], residual)
         if res_norm <= tol_block:
             return u
         best = (res_norm, u)
@@ -230,8 +220,7 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         # costs a gradient and a prox, so check only when the raw step is
         # already small, plus periodically as a safety net.
         if float(np.linalg.norm(u_new - z)) <= gate or it % 8 == 7:
-            res = u_new - form.prox(u_new - grad_phi(u_new), 1.0)
-            res_norm = float(np.linalg.norm(res))
+            res_norm = residual(u_new)
             if res_norm < best[0]:
                 best = (res_norm, u_new)
             if res_norm <= tol_block:

@@ -133,18 +133,20 @@ def test_solve_names_divergence(tmp_path, capsys):
 @pytest.mark.parametrize("alpha", ["0.1", "auto"])
 def test_solve_reports_a_degenerate_block_as_a_solver_failure(
         tmp_path, capsys, alpha):
-    # E_1 = 0 leaves block 1's subproblem without curvature, which only
-    # the solve finds: exit 2 with the reason, not a usage error
+    # E_1 = 0 leaves block 1's subproblem without curvature, with or
+    # without a term, which only the solve finds: exit 2 with the
+    # reason, not a usage error
     prob = tmp_path / "p.json"
-    save_problem(build_problem(
-        [Block(E=[[1.0], [0.0]], nonsmooth=L1(1.0)),
-         Block(E=np.zeros((2, 1)), nonsmooth=L1(1.0))], [1.0, 0.0]),
-        str(prob))
-    rc = main(["solve", "--problem", str(prob), "--alpha", alpha])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "solver failed: block 1 has no curvature" in err
-    assert "usage" not in err
+    for block_1 in (Block(E=np.zeros((2, 1)), nonsmooth=L1(1.0)),
+                    Block(E=np.zeros((2, 1)))):
+        save_problem(build_problem(
+            [Block(E=[[1.0], [0.0]], nonsmooth=L1(1.0)), block_1],
+            [1.0, 0.0]), str(prob))
+        rc = main(["solve", "--problem", str(prob), "--alpha", alpha])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "solver failed: block 1 has no curvature" in err
+        assert "usage" not in err
     # a bad setting is still a usage error
     with pytest.raises(SystemExit) as info:
         main(["solve", "--problem", str(prob), "--rho", "-1"])

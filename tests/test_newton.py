@@ -4,9 +4,11 @@
 it can and otherwise hands its best point back to the caller. On random
 group-free problems (l1, boxes that may exclude 0, a linear shift,
 nonneg; coupling matrices that may be rank deficient) the block solve
-must agree with the accelerated prox-gradient loop, and the dual
-function with the Anderson-accelerated sweeps; the kernel is switched
-off by replacing it with one that returns its starting point.
+must agree with the accelerated prox-gradient loop, also on blocks with
+no term, where Newton's first step is the plain linear solve; and the
+dual function must agree with the Anderson-accelerated sweeps. The
+kernel is switched off by replacing it with one that returns its
+starting point.
 """
 
 from unittest import mock
@@ -30,10 +32,10 @@ def _no_newton(self, H, c, u, tol, norm, residual=None):
 
 
 @st.composite
-def problems(draw):
-    """A random group-free problem: K blocks, each one term kind, with
-    coupling matrices that often lack full column rank (more columns
-    than rows, or a repeated column)."""
+def problems(draw, kinds):
+    """A random group-free problem: K blocks, each one term kind drawn
+    from ``kinds``, with coupling matrices that often lack full column
+    rank (more columns than rows, or a repeated column)."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     K = draw(st.integers(1, 3))
@@ -44,7 +46,7 @@ def problems(draw):
             n_k = m + draw(st.integers(1, 3))
         else:
             n_k = draw(st.integers(1, m))
-        kind = draw(st.sampled_from(_KINDS))
+        kind = draw(st.sampled_from(kinds))
         E = rng.standard_normal((m, n_k))
         if n_k > 1 and draw(st.booleans()):
             E[:, -1] = E[:, 0]
@@ -60,6 +62,7 @@ def problems(draw):
             "box": None,
             "nonneg": NonnegIndicator(),
             "linear_box": Linear(rng.standard_normal(n_k)),
+            "zero": None,
         }[kind]
         blocks.append(Block(E=E, A=A, smooth=smooth, nonsmooth=nonsmooth,
                             box=box if kind.endswith("box") else None))
@@ -80,7 +83,7 @@ def _block_value(p, k, x, y, rho, u):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(problems(), st.sampled_from([0.5, 1.0, 2.0]))
+@given(problems(_KINDS + ("zero",)), st.sampled_from([0.5, 1.0, 2.0]))
 def test_block_newton_agrees_with_prox_gradient_loop(case, rho):
     p, y, x = case
     for k, b in enumerate(p.blocks):
@@ -99,7 +102,7 @@ def test_block_newton_agrees_with_prox_gradient_loop(case, rho):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(problems())
+@given(problems(_KINDS))
 def test_dual_function_newton_agrees_with_block_sweeps(case):
     p, y, x = case
     rho = 1.0
