@@ -13,19 +13,21 @@ grad d(y) = q - E x(y) for any inner minimizer x(y); the constraint image
 E x(y) is the same for every inner minimizer, which is what makes the
 gradient well defined, and grad d is Lipschitz with constant 1 / rho.
 
-When every block's smooth gradient is affine and h has no groups (l1,
-box, nonneg and linear terms only), L(.; y) is a polyhedral-quadratic
-function, 1/2 x^T H x + c^T x + h(x) with H = blockdiag(hess_smooth_k) +
-rho E^T E and c = -E^T (y + rho q) - lin_smooth, and a finite number of
-active-set steps minimize it exactly. The inner minimization then first
-runs the safeguarded semismooth Newton kernel of the separable form
+When every block's smooth gradient is affine, L(.; y) is 1/2 x^T H x +
+c^T x + h(x) with H = blockdiag(hess_smooth_k) + rho E^T E and c =
+-E^T (y + rho q) - lin_smooth, and h is the separable form of
+:mod:`blockadmm.prox` (l1, box, nonneg, linear, group-l2 and
+sparse-group terms). The inner minimization then first runs the
+safeguarded semismooth Newton kernel of the form
 (:meth:`blockadmm.prox._Separable.newton`; Hintermueller, Ito & Kunisch,
 SIAM J. Optim. 13, 2002; Li, Sun & Toh, arXiv:1607.05428), whose steps
-are accepted only while the prox-gradient residual below falls, and
-hands its best point to the sweeps when it stops short of the tolerance.
+are accepted only while the prox-gradient residual below falls. Without
+groups the function is polyhedral-quadratic and a finite number of
+active-set steps minimize it exactly; a group adds the curvature of its
+norm to each step.
 
-Otherwise, or after such a hand-over, the inner minimization iterates
-the cyclic block coordinate descent
+Otherwise, or when Newton stops short of the tolerance, the inner
+minimization iterates the cyclic block coordinate descent
 sweep x -> S(x), which is the solver's own Gauss-Seidel primal pass
 (``blockadmm.solvers._primal_gauss_seidel``: each block subproblem is
 solved to high accuracy by :func:`blockadmm.solvers.solve_block`). It
@@ -35,8 +37,11 @@ convergent type-I Anderson acceleration for nonsmooth fixed-point
 iterations", arXiv:1808.03971):
 after each sweep the last few sweep residuals S(x) - x are combined into
 an extrapolated point, which replaces S(x) only when its prox-gradient
-residual is smaller. Sweeps repeat until the prox-gradient residual of
-the whole iterate is below tolerance.
+residual is smaller, it lies near S(x) and L(.; y) does not rise. After
+each sweep Newton is retried from the current iterate, and its point is
+kept when its residual is smaller and L(.; y) does not rise. Sweeps
+repeat until the prox-gradient residual of the whole iterate is below
+tolerance.
 """
 
 from __future__ import annotations
@@ -146,24 +151,36 @@ class InnerSolveResult:
     newton_steps: int
 
 
+_NO_CURVATURE = ("block %d has no curvature; its subproblem is unbounded or "
+                 "degenerate")
+
 # Number of past sweep residuals the Anderson extrapolation combines.
 _ANDERSON_MEMORY = 5
+# An extrapolated point may lie at most this many sweep residuals
+# ||S(x) - x|| from the sweep image S(x).
+_ANDERSON_REACH = 100.0
 
 
 def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
                         max_sweeps=None):
-    """Minimize L(.; y) by an exact active-set Newton solve where L(.; y)
-    is polyhedral-quadratic, else (or when Newton stops short) by
-    Anderson-accelerated cyclic block coordinate descent.
+    """Minimize L(.; y) by an active-set Newton solve where every smooth
+    gradient is affine, else (or when Newton stops short) by
+    Anderson-accelerated cyclic block coordinate descent, with a Newton
+    retry after each sweep.
 
     The Newton kernel runs first when every block has an affine smooth
-    gradient (``problem.hessian(rho)`` is not None) and the problem's
-    form has no groups. Each step fixes the coordinates the prox zeroes
-    or clamps and solves for the rest with H = ``problem.hessian(rho)``;
-    it is kept only if its linear solve is accurate to ``tol`` and the
-    full prox-gradient residual falls, and the loop stops on a repeated
-    active set. Its best point starts the sweeps when the residual is
-    still above ``tol``; ``newton_steps`` in the result counts its steps.
+    gradient (``problem.hessian(rho)`` is not None), for every term kind,
+    groups included. Each step fixes the coordinates the prox zeroes or
+    clamps, and the groups it zeroes, and solves for the rest with H =
+    ``problem.hessian(rho)`` plus the curvature of each nonzero group's
+    norm; it is taken only if its linear solve is accurate to ``tol``
+    and the full prox-gradient residual falls. A Newton point that meets
+    ``tol`` is the result. One that stops short is kept only if its
+    residual fell and L(.; y) did not rise (up to 1e-12 (1 + |L|)); then
+    the sweeps start from it, else from the point Newton started from.
+    ``newton_steps`` in the result counts every Newton step solved. A
+    block without curvature raises the ValueError of
+    :func:`blockadmm.solvers.solve_block` before Newton runs.
 
     Each sweep S is the Gauss-Seidel primal pass of the solver: it
     solves every block subproblem exactly (to a tolerance well below
@@ -175,17 +192,20 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
     the least-squares solution of dF gamma = f, the candidate is S(x) -
     dG gamma projected onto the block domains. The candidate replaces
     S(x) only if its prox-gradient residual norm is finite and smaller
-    than that of S(x); otherwise the history is cleared and S(x) is kept
+    than that of S(x), it lies within 100 ||f|| of S(x), and L(.; y) is
+    not larger there; otherwise the history is cleared and S(x) is kept
     (the safeguard of Zhang, O'Donoghue & Boyd, arXiv:1808.03971), so
     no step ends with a larger residual than the plain sweep from the
-    same iterate would have.
+    same iterate would have. While the residual is above ``tol``, Newton
+    is then retried from the current iterate on the terms above, and a
+    kept retry clears the history too.
 
     The solve stops once the full prox-gradient residual norm is at most
     ``tol``; ``iterations`` in the result counts sweeps, and a warm start
     that already meets ``tol``, or a Newton solve that does, returns
     after none. Raises
-    ConvergenceError (carrying the best iterate seen, swept or
-    extrapolated) if the sweep cap is reached.
+    ConvergenceError (carrying the best iterate seen, swept,
+    extrapolated or from Newton) if the sweep cap is reached.
     """
     from .solvers import _primal_gauss_seidel
 
@@ -207,13 +227,31 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
     def pg_norm(z):
         return float(np.linalg.norm(proximal_gradient(problem, z, y, rho)))
 
+    def no_rise(z, z_new):
+        """L(z_new; y) <= L(z; y), up to rounding."""
+        L_z = augmented_lagrangian(problem, z, y, rho)
+        return (augmented_lagrangian(problem, z_new, y, rho)
+                <= L_z + 1e-12 * (1.0 + abs(L_z)))
+
+    def newton(z, nz):
+        """Newton from z: its point and residual if the residual fell and
+        either meets ``tol`` or L(.; y) did not rise, else z's; and the
+        steps solved."""
+        zn, nn, steps = problem.form.newton(H, c, z, tol, nz,
+                                            residual=pg_norm)
+        if nn < nz and (nn <= tol or no_rise(z, zn)):
+            return zn, nn, steps
+        return z, nz, steps
+
     npg = pg_norm(x)
     newton_steps = 0
-    H = None if problem.form.groups else problem.hessian(rho)
+    H = problem.hessian(rho)
     if H is not None and not npg <= tol:
+        for k, b in enumerate(problem.blocks):
+            if b.constants(rho)[2] <= 0:
+                raise ValueError(_NO_CURVATURE % k)
         c = -(problem.E_mat.T @ (y + rho * problem.q)) - problem.lin_smooth
-        x, npg, newton_steps = problem.form.newton(H, c, x, tol, npg,
-                                                   residual=pg_norm)
+        x, npg, newton_steps = newton(x, npg)
     best_norm = npg
     best_x = x.copy()
     sweeps = 0
@@ -244,11 +282,19 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
                                         rcond=None)[0]
                 xa = problem.project_domains(g - np.column_stack(dG) @ gamma)
                 npg_a = pg_norm(xa)
-                if npg_a < npg:
+                if (npg_a < npg and np.linalg.norm(xa - g)
+                        <= _ANDERSON_REACH * np.linalg.norm(f)
+                        and no_rise(g, xa)):
                     x, npg = xa, npg_a
                 else:
                     dF, dG = [], []
             f_prev, g_prev = f, g
+        if H is not None and npg > tol:
+            xn, npg_n, steps = newton(x, npg)
+            newton_steps += steps
+            if npg_n < npg:
+                x, npg = xn, npg_n
+                dF, dG, f_prev = [], [], None
         if npg < best_norm:
             best_norm = npg
             best_x = x.copy()

@@ -17,8 +17,9 @@ ungrouped coordinates and makes one ``_prox_ball_box`` call on the groups
 grouped coordinate). A block compiles its term into the form when the
 problem is built, and the problem concatenates the block forms, so the
 prox, value and domain projection of a whole iterate are one call each.
-A form without groups also carries ``newton``, the safeguarded active-set
-Newton kernel that minimizes a convex quadratic plus the form exactly.
+Every form also carries ``newton``, the safeguarded active-set Newton
+kernel that minimizes a convex quadratic plus the form exactly; on a
+group it steps with the curvature of w_J ||x_J||_2 at the prox point.
 
 Supported terms
 ---------------
@@ -333,49 +334,79 @@ class _Separable(ProxTerm):
 
     def newton(self, H, c, u, tol, norm, residual):
         """Safeguarded active-set Newton for min_u 1/2 u^T H u + c^T u + h(u)
-        with H positive semidefinite and h this form without groups.
+        with H positive semidefinite and h this form.
 
-        The natural residual R(u) = u - prox(u - (H u + c), 1) has a 0/1
-        diagonal generalized Jacobian (Hintermueller, Ito & Kunisch, SIAM
-        J. Optim. 13, 2002), so one Newton step fixes every coordinate
-        the prox zeroes or clamps at that value and solves
+        The natural residual R(u) = u - prox(u - (H u + c), 1) is
+        semismooth (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002;
+        Li, Sun & Toh, SIAM J. Optim. 28, 2018), so one Newton step fixes
+        every coordinate the prox zeroes or clamps, and every coordinate
+        of a group the prox zeroes, at that value, and solves
 
-            H_FF u_F = -(c + b + lam * sign)_F - H_FA u_A
+            (H_FF + D_FF) u_F = -(c + b + lam * sign)_F - H_FA u_A
+                                - (w_J p_J / ||p_J||)_F + D_FF p_F
 
-        on the free set F; the new point is projected onto the domain.
-        With no l1 weights and no bounds every coordinate is free and the
-        first step is the linear solve H u = -(c + b). ``norm`` is the
-        caller's residual norm at u and ``residual(z)`` evaluates it
-        elsewhere, e.g. ||R(z)||. A step is taken only if the linear
-        residual of its solve is at most ``tol`` and the caller's residual
-        falls; a repeated active set, a singular or inexact solve, a
-        residual that does not fall, or the step cap ends the loop.
+        on the free set F, where p is the prox point and D is the
+        curvature of w_J ||u_J|| at p on each nonzero group J,
+        D_J = (w_J / ||p_J||) (I - p_J p_J^T / ||p_J||^2); the new point is
+        projected onto the domain. With no free grouped coordinate D
+        vanishes, and with no l1 weights, bounds or groups every coordinate
+        is free and the first step is the linear solve H u = -(c + b).
+        ``norm`` is the caller's residual norm at u and ``residual(z)``
+        evaluates it elsewhere, e.g. ||R(z)||. A step is taken only if the
+        linear residual of its solve is at most ``tol`` and the caller's
+        residual falls; a singular or inexact solve, a residual that does
+        not fall, the step cap, or (while no grouped coordinate is free,
+        the one case where an active set fixes the step) a repeated
+        active set ends the loop.
         Returns (point, its residual norm, steps solved): the best point
         seen, which meets ``tol`` or goes to the caller's fallback.
         """
         seen = set()
         steps = 0
+        order = self._order
+        if order is not None:
+            group_of = np.full(u.size, -1)      # -1: in no group
+            group_of[order] = self._gid
         while norm > tol and steps < _NEWTON_MAX_STEPS:
             v = u - (H @ u + c)
             p = self.prox(v, 1.0)
             s = np.sign(v - self.b)
             free = (self.lo < p) & (p < self.hi) & ((p != 0.0)
                                                     | (self.lam == 0.0))
-            key = free.tobytes() + np.where(free, s, p).tobytes()
-            if key in seen:
-                break
-            seen.add(key)
+            grouped = False
+            if order is not None:
+                pg = p[order]
+                nrm = np.sqrt(np.add.reduceat(pg * pg, self._starts))
+                free[order] &= (nrm > 0.0)[self._gid]
+                grouped = bool(np.any(free[order]))
+            if not grouped:
+                key = free.tobytes() + np.where(free, s, p).tobytes()
+                if key in seen:
+                    break
+                seen.add(key)
             F = np.flatnonzero(free)
             u_new = np.where(free, 0.0, p)
             if F.size:
                 rhs = -(c[F] + self.b[F] + self.lam[F] * s[F]
                         + H[F] @ u_new)
-                H_FF = H[np.ix_(F, F)]
+                M = H[np.ix_(F, F)]
+                if grouped:
+                    # D_J = a_J (I - r_J r_J^T) with a_J = w_J / ||p_J||
+                    # and r_J = p_J / ||p_J||, on the free coordinates
+                    gF = group_of[F]
+                    inF = gF >= 0
+                    nF = np.where(inF, nrm[gF], 1.0)
+                    aF = np.where(inF, self.weights[gF] / nF, 0.0)
+                    rF = np.where(inF, p[F] / nF, 0.0)
+                    same = (gF[:, None] == gF) & inF[:, None]
+                    D = np.diag(aF) - same * np.outer(aF * rF, rF)
+                    M = M + D
+                    rhs += D @ p[F] - aF * p[F]
                 try:
-                    u_F = np.linalg.solve(H_FF, rhs)
+                    u_F = np.linalg.solve(M, rhs)
                 except np.linalg.LinAlgError:
                     break
-                if not float(np.linalg.norm(H_FF @ u_F - rhs)) <= tol:
+                if not float(np.linalg.norm(M @ u_F - rhs)) <= tol:
                     break
                 u_new[F] = u_F
                 u_new = self.project_domain(u_new)

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lagrangian import (
+    _NO_CURVATURE,
     ConvergenceError,
     augmented_lagrangian,
     minimize_lagrangian,
@@ -159,15 +160,16 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     stops when the block prox-gradient residual is at most ``tol_block``;
     a warm start that already satisfies the tolerance returns
     immediately. Scalar-curvature blocks are solved in closed form via a
-    single prox. Other blocks with an affine smooth gradient and a term
-    without groups (none, l1, box, nonneg, linear) first try the
-    safeguarded active-set Newton kernel of the separable form
-    (``_Separable.newton``) on the subproblem Hessian H; with no term
-    its first step is the linear solve H u = -g0, kept only when it is
-    accurate to ``tol_block``. The rest, and any Newton solve that stops
-    short of ``tol_block``, go to an accelerated prox-gradient loop with
-    adaptive restart, started from Newton's best point. A block without
-    curvature raises ValueError.
+    single prox. Other blocks with an affine smooth gradient, whatever
+    their term (none, l1, box, nonneg, linear, group-l2 with or without
+    a box, sparse-group), first try the safeguarded active-set Newton
+    kernel of the separable form (``_Separable.newton``) on the
+    subproblem Hessian H; with no term its first step is the linear
+    solve H u = -g0, kept only when it is accurate to ``tol_block``.
+    Blocks with a non-affine smooth gradient, and any Newton solve that
+    stops short of ``tol_block``, go to an accelerated prox-gradient
+    loop with adaptive restart, started from Newton's best point. A
+    block without curvature raises ValueError.
     """
     if rho <= 0:
         raise ValueError("rho must be positive, got %g" % rho)
@@ -192,10 +194,7 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     if eta is not None:
         return form.prox(-g0 / eta, 1.0 / eta)
     if step_L <= 0:
-        raise ValueError(
-            "block %d has no curvature; its subproblem is unbounded or "
-            "degenerate" % k
-        )
+        raise ValueError(_NO_CURVATURE % k)
     step = 1.0 / step_L
 
     def residual(z):
@@ -205,7 +204,7 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     best = (residual(u), u)
     if best[0] <= tol_block:
         return u
-    if H is not None and not form.groups:
+    if H is not None:
         u, res_norm, _ = form.newton(H, g0, u, tol_block, best[0], residual)
         if res_norm <= tol_block:
             return u
