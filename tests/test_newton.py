@@ -164,16 +164,21 @@ def _monitor_solves(monkeypatch, problem, **config):
 
 
 def test_monitor_solves_finish_on_the_newton_path(monkeypatch):
-    for problem, config, share in (
-            (gen_lasso(n_obs=40, n_feat=16, seed=0),
-             dict(variant="proximal", rho=0.2, max_iters=5000), 0.99),
-            (gen_group_l2(m=30, K=3, n_k=2, seed=0),
-             dict(variant="gauss_seidel", rho=1.0, max_iters=5000), 0.95)):
-        res, inner = _monitor_solves(monkeypatch, problem, **config)
-        assert res.termination == "converged"
-        newton_only = sum(1 for r in inner if r.iterations == 0)
-        assert newton_only >= share * len(inner)
-        monkeypatch.undo()
+    res, inner = _monitor_solves(
+        monkeypatch, gen_lasso(n_obs=40, n_feat=16, seed=0),
+        variant="proximal", rho=0.2, max_iters=5000)
+    assert res.termination == "converged"
+    newton_only = sum(1 for r in inner if r.iterations == 0)
+    assert newton_only >= 0.99 * len(inner)
+
+
+def test_group_monitor_solves_finish_on_the_newton_path(monkeypatch):
+    res, inner = _monitor_solves(
+        monkeypatch, gen_group_l2(m=30, K=3, n_k=2, seed=0),
+        variant="gauss_seidel", rho=1.0, max_iters=5000)
+    assert res.termination == "converged"
+    newton_only = sum(1 for r in inner if r.iterations == 0)
+    assert newton_only >= 0.95 * len(inner)
 
 
 def test_group_retry_keeps_the_lagrangian_from_rising():
