@@ -195,7 +195,7 @@ def _cmd_solve(args, parser):
         parser.error(str(e))
     try:
         result = run(problem, config)
-    except (ValueError, ConvergenceError) as e:
+    except ValueError as e:
         print("solver failed: %s" % e, file=sys.stderr)
         return 2
     if args.trace:

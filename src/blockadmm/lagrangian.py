@@ -21,7 +21,11 @@ sparse-group terms). The inner minimization then first runs the
 safeguarded semismooth Newton kernel of the form
 (:meth:`blockadmm.prox._Separable.newton`; Hintermueller, Ito & Kunisch,
 SIAM J. Optim. 13, 2002; Li, Sun & Toh, arXiv:1607.05428), whose steps
-are accepted only while the prox-gradient residual below falls. Without
+are accepted only while the prox-gradient residual below falls. The
+residual at a point x comes from one smooth gradient and one prox,
+v = x - grad and p = prox_h(v, 1); the solve keeps (v, p) with its
+iterate and hands it to Newton, which linearizes there and returns the
+(v, p) of its own point, so no point is evaluated twice. Without
 groups the function is polyhedral-quadratic and a finite number of
 active-set steps minimize it exactly; a group adds the curvature of its
 norm to each step.
@@ -51,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import objective, residual_vector
+from .prox import _distance
 
 __all__ = [
     "ConvergenceError",
@@ -87,14 +92,20 @@ def _check_xy(problem, x, y):
     return x, y
 
 
+def _lagrangian_parts(problem, x, y, rho):
+    """(f(x), E x - q, L(x; y)) for a checked x and y."""
+    res = residual_vector(problem, x)
+    f = objective(problem, x)
+    return f, res, (f - float(np.dot(y, res))
+                    + 0.5 * rho * float(np.dot(res, res)))
+
+
 def augmented_lagrangian(problem, x, y, rho):
     """L(x; y) = f(x) + <y, q - E x> + (rho/2) * ||q - E x||^2."""
     if rho <= 0:
         raise ValueError("rho must be positive, got %g" % rho)
     x, y = _check_xy(problem, x, y)
-    res = residual_vector(problem, x)          # E x - q
-    f = objective(problem, x)
-    return f - float(np.dot(y, res)) + 0.5 * rho * float(np.dot(res, res))
+    return _lagrangian_parts(problem, x, y, rho)[2]
 
 
 def smooth_gradient(problem, x, y, rho):
@@ -116,6 +127,14 @@ def smooth_gradient(problem, x, y, rho):
     return out
 
 
+def _gradient_and_prox(problem, x, y, rho):
+    """(v, p) at x, with v = x - [smooth gradient of L(.; y)] and
+    p = prox_h(v, 1): one smooth gradient and one prox of the whole
+    vector (h is separable across blocks)."""
+    v = x - smooth_gradient(problem, x, y, rho)
+    return v, problem.form.prox(v, 1.0)
+
+
 def proximal_gradient(problem, x, y, rho):
     """Prox-gradient residual of L(.; y) at x with unit step,
 
@@ -125,9 +144,8 @@ def proximal_gradient(problem, x, y, rho):
     exactly at inner minimizers; its norm is the inner stopping criterion
     everywhere in this package.
     """
-    g = smooth_gradient(problem, x, y, rho)
     x = np.asarray(x, dtype=float)
-    return x - problem.form.prox(x - g, 1.0)
+    return x - _gradient_and_prox(problem, x, y, rho)[1]
 
 
 @dataclass
@@ -180,7 +198,12 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
     the sweeps start from it, else from the point Newton started from.
     ``newton_steps`` in the result counts every Newton step solved. A
     block without curvature raises the ValueError of
-    :func:`blockadmm.solvers.solve_block` before Newton runs.
+    :func:`blockadmm.solvers.solve_block` before Newton runs. Every
+    point the solve visits (the warm start, each Newton point, each
+    sweep image and Anderson candidate) costs one smooth gradient and
+    one prox: the iterate's (v, p) is kept with it and is each Newton
+    call's start, so a solve that ends on Newton after k steps and no
+    sweep makes k + 1 prox calls.
 
     Each sweep S is the Gauss-Seidel primal pass of the solver: it
     solves every block subproblem exactly (to a tolerance well below
@@ -224,8 +247,8 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
         max_sweeps = 100 * problem.K * max(problem.n, 1)
     block_tol = tol / (10.0 * np.sqrt(problem.K))
 
-    def pg_norm(z):
-        return float(np.linalg.norm(proximal_gradient(problem, z, y, rho)))
+    def evaluate(z):
+        return _gradient_and_prox(problem, z, y, rho)
 
     def no_rise(z, z_new):
         """L(z_new; y) <= L(z; y), up to rounding."""
@@ -233,17 +256,18 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
         return (augmented_lagrangian(problem, z_new, y, rho)
                 <= L_z + 1e-12 * (1.0 + abs(L_z)))
 
-    def newton(z, nz):
-        """Newton from z: its point and residual if the residual fell and
-        either meets ``tol`` or L(.; y) did not rise, else z's; and the
-        steps solved."""
-        zn, nn, steps = problem.form.newton(H, c, z, tol, nz,
-                                            residual=pg_norm)
+    def newton(z, nz, ez):
+        """Newton from z, whose residual is nz and evaluation ez: its
+        point, residual and evaluation if the residual fell and either
+        meets ``tol`` or L(.; y) did not rise, else z's; and the steps
+        solved."""
+        zn, nn, steps, en = problem.form.newton(H, c, z, tol, evaluate, ez)
         if nn < nz and (nn <= tol or no_rise(z, zn)):
-            return zn, nn, steps
-        return z, nz, steps
+            return zn, nn, en, steps
+        return z, nz, ez, steps
 
-    npg = pg_norm(x)
+    ex = evaluate(x)          # (v, p) at x, kept in step with x
+    npg = _distance(x, ex[1])
     newton_steps = 0
     H = problem.hessian(rho)
     if H is not None and not npg <= tol:
@@ -251,7 +275,7 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
             if b.constants(rho)[2] <= 0:
                 raise ValueError(_NO_CURVATURE % k)
         c = -(problem.E_mat.T @ (y + rho * problem.q)) - problem.lin_smooth
-        x, npg, newton_steps = newton(x, npg)
+        x, npg, ex, newton_steps = newton(x, npg, ex)
     best_norm = npg
     best_x = x.copy()
     sweeps = 0
@@ -270,7 +294,8 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
         g = _primal_gauss_seidel(problem, x, y, rho, sweep_tol)
         sweeps += 1
         f = g - x
-        x, npg = g, pg_norm(g)
+        ex = evaluate(g)
+        x, npg = g, _distance(g, ex[1])
         if not np.isfinite(npg):
             dF, dG, f_prev = [], [], None
         else:
@@ -281,19 +306,20 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
                 gamma = np.linalg.lstsq(np.column_stack(dF), f,
                                         rcond=None)[0]
                 xa = problem.project_domains(g - np.column_stack(dG) @ gamma)
-                npg_a = pg_norm(xa)
+                ea = evaluate(xa)
+                npg_a = _distance(xa, ea[1])
                 if (npg_a < npg and np.linalg.norm(xa - g)
                         <= _ANDERSON_REACH * np.linalg.norm(f)
                         and no_rise(g, xa)):
-                    x, npg = xa, npg_a
+                    x, npg, ex = xa, npg_a, ea
                 else:
                     dF, dG = [], []
             f_prev, g_prev = f, g
         if H is not None and npg > tol:
-            xn, npg_n, steps = newton(x, npg)
+            xn, npg_n, en, steps = newton(x, npg, ex)
             newton_steps += steps
             if npg_n < npg:
-                x, npg = xn, npg_n
+                x, npg, ex = xn, npg_n, en
                 dF, dG, f_prev = [], [], None
         if npg < best_norm:
             best_norm = npg

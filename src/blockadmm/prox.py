@@ -211,6 +211,13 @@ def _ball_box_group(v, lo, hi, shrink, wt, nrm):
 _NEWTON_MAX_STEPS = 50
 
 
+def _distance(a, b):
+    """||a - b||_2 for flat arrays, in the arithmetic of np.linalg.norm
+    (the square root of the dot product) without its overhead."""
+    r = a - b
+    return math.sqrt(r.dot(r))
+
+
 def _index(idx):
     """An index array as a slice when it is one contiguous run (basic
     slicing is cheaper than fancy indexing), or None when it is empty."""
@@ -283,6 +290,11 @@ class _Separable(ProxTerm):
             _index(order), lo[order], hi[order])
         self._starts = np.cumsum(sizes) - sizes
         self._gid = np.repeat(np.arange(sizes.size), sizes)
+        # for the Newton kernel: each coordinate's group (-1: in no group)
+        # and the coordinates without an l1 weight
+        self._group_of = np.full(lo.size, -1)
+        self._group_of[order] = self._gid
+        self._lam_zero = lam == 0.0
 
     @classmethod
     def of(cls, n, b=0.0, lam=0.0, lo=-np.inf, hi=np.inf, groups=(),
@@ -321,8 +333,8 @@ class _Separable(ProxTerm):
         if self._l1 is not None:
             u[self._l1] = soft_threshold(u[self._l1], t * self._lam)
         if self._clip is not None:
-            u[self._clip] = np.clip(u[self._clip], self._clip_lo,
-                                    self._clip_hi)
+            u[self._clip] = np.minimum(
+                np.maximum(u[self._clip], self._clip_lo), self._clip_hi)
         if self._order is not None:
             u[self._order] = _prox_ball_box(
                 u[self._order], t * self.weights, self._group_lo,
@@ -330,9 +342,10 @@ class _Separable(ProxTerm):
         return u
 
     def project_domain(self, v):
-        return np.clip(np.asarray(v, dtype=float), self.lo, self.hi)
+        return np.minimum(np.maximum(np.asarray(v, dtype=float), self.lo),
+                          self.hi)
 
-    def newton(self, H, c, u, tol, norm, residual):
+    def newton(self, H, c, u, tol, evaluate, start):
         """Safeguarded active-set Newton for min_u 1/2 u^T H u + c^T u + h(u)
         with H positive semidefinite and h this form.
 
@@ -351,71 +364,75 @@ class _Separable(ProxTerm):
         projected onto the domain. With no free grouped coordinate D
         vanishes, and with no l1 weights, bounds or groups every coordinate
         is free and the first step is the linear solve H u = -(c + b).
-        ``norm`` is the caller's residual norm at u and ``residual(z)``
-        evaluates it elsewhere, e.g. ||R(z)||. A step is taken only if the
-        linear residual of its solve is at most ``tol`` and the caller's
-        residual falls; a singular or inexact solve, a residual that does
-        not fall, the step cap, or (while no grouped coordinate is free,
-        the one case where an active set fixes the step) a repeated
-        active set ends the loop.
-        Returns (point, its residual norm, steps solved): the best point
-        seen, which meets ``tol`` or goes to the caller's fallback.
+
+        ``evaluate(z)`` is the caller's (v, p) at z, with v = z - (H z + c)
+        in the caller's own arithmetic and p = prox(v, 1), and ``start``
+        is its value at u. The kernel makes no other prox call: it reads
+        the residual ||z - p|| off each evaluation and linearizes the next
+        step at the (v, p) it holds, so every point costs one evaluation.
+        A step is taken only if the linear residual of its solve is at
+        most ``tol`` and the residual falls; a singular or inexact solve,
+        a residual that does not fall, the step cap, or (while no grouped
+        coordinate is free, the one case where an active set fixes the
+        step) a repeated active set ends the loop.
+        Returns (point, its residual norm, steps solved, its evaluation):
+        the best point seen, which meets ``tol`` or goes to the caller's
+        fallback.
         """
+        v, p = start
+        norm = _distance(u, p)
         seen = set()
         steps = 0
         order = self._order
-        if order is not None:
-            group_of = np.full(u.size, -1)      # -1: in no group
-            group_of[order] = self._gid
         while norm > tol and steps < _NEWTON_MAX_STEPS:
-            v = u - (H @ u + c)
-            p = self.prox(v, 1.0)
-            s = np.sign(v - self.b)
+            s = np.sign(v if self._shift is None else v - self.b)
             free = (self.lo < p) & (p < self.hi) & ((p != 0.0)
-                                                    | (self.lam == 0.0))
+                                                    | self._lam_zero)
             grouped = False
             if order is not None:
                 pg = p[order]
                 nrm = np.sqrt(np.add.reduceat(pg * pg, self._starts))
                 free[order] &= (nrm > 0.0)[self._gid]
-                grouped = bool(np.any(free[order]))
+                grouped = bool(free[order].any())
             if not grouped:
                 key = free.tobytes() + np.where(free, s, p).tobytes()
                 if key in seen:
                     break
                 seen.add(key)
-            F = np.flatnonzero(free)
+            F = free.nonzero()[0]
             u_new = np.where(free, 0.0, p)
             if F.size:
                 rhs = -(c[F] + self.b[F] + self.lam[F] * s[F]
                         + H[F] @ u_new)
-                M = H[np.ix_(F, F)]
+                M = H[F[:, None], F]
                 if grouped:
                     # D_J = a_J (I - r_J r_J^T) with a_J = w_J / ||p_J||
                     # and r_J = p_J / ||p_J||, on the free coordinates
-                    gF = group_of[F]
+                    gF = self._group_of[F]
                     inF = gF >= 0
                     nF = np.where(inF, nrm[gF], 1.0)
                     aF = np.where(inF, self.weights[gF] / nF, 0.0)
                     rF = np.where(inF, p[F] / nF, 0.0)
                     same = (gF[:, None] == gF) & inF[:, None]
-                    D = np.diag(aF) - same * np.outer(aF * rF, rF)
+                    D = np.diag(aF)
+                    D -= same * ((aF * rF)[:, None] * rF)
                     M = M + D
                     rhs += D @ p[F] - aF * p[F]
                 try:
                     u_F = np.linalg.solve(M, rhs)
                 except np.linalg.LinAlgError:
                     break
-                if not float(np.linalg.norm(M @ u_F - rhs)) <= tol:
+                if not _distance(M @ u_F, rhs) <= tol:
                     break
                 u_new[F] = u_F
                 u_new = self.project_domain(u_new)
             steps += 1
-            norm_new = residual(u_new)
+            v_new, p_new = evaluate(u_new)
+            norm_new = _distance(u_new, p_new)
             if not norm_new < norm:
                 break
-            u, norm = u_new, norm_new
-        return u, norm, steps
+            u, norm, v, p = u_new, norm_new, v_new, p_new
+        return u, norm, steps, (v, p)
 
 
 class Zero(ProxTerm):

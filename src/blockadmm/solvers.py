@@ -31,10 +31,10 @@ dual step is committed only if the monitored quantity
 L(x^{r+2}; y^{r+1}) - 2 d(y^{r+1}), whose decrease is equivalent to the
 decrease of the combined primal-dual gap, does not increase. Otherwise
 alpha is halved (at most 6 times per iteration) and the candidate is
-discarded, i.e. the run restarts from the last monotone iterate. If
-one of the monitor's inner solves hits its cap, the run ends with
-termination "inner_cap", keeping its records and the last accepted
-iterate.
+discarded, i.e. the run restarts from the last monotone iterate. If a
+block solve of the primal pass or one of the monitor's inner solves
+hits its cap, the run ends with termination "inner_cap", keeping its
+records and the last accepted iterate.
 """
 
 from __future__ import annotations
@@ -46,11 +46,13 @@ import numpy as np
 from .lagrangian import (
     _NO_CURVATURE,
     ConvergenceError,
+    _lagrangian_parts,
     augmented_lagrangian,
     minimize_lagrangian,
     proximal_gradient,
 )
 from .problem import check_assumptions, objective
+from .prox import _distance
 from .trace import TraceRecord
 
 __all__ = [
@@ -166,6 +168,10 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     kernel of the separable form (``_Separable.newton``) on the
     subproblem Hessian H; with no term its first step is the linear
     solve H u = -g0, kept only when it is accurate to ``tol_block``.
+    The warm start's gradient and prox, computed for the tolerance test,
+    are the kernel's start, and the kernel evaluates each point it visits
+    once, so a Newton solve of k steps that meets ``tol_block`` makes
+    k + 1 prox calls in all.
     Blocks with a non-affine smooth gradient, and any Newton solve that
     stops short of ``tol_block``, go to an accelerated prox-gradient
     loop with adaptive restart, started from Newton's best point. A
@@ -197,15 +203,17 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         raise ValueError(_NO_CURVATURE % k)
     step = 1.0 / step_L
 
-    def residual(z):
-        return float(np.linalg.norm(z - form.prox(z - grad_phi(z), 1.0)))
+    def evaluate(z):
+        v = z - grad_phi(z)
+        return v, form.prox(v, 1.0)
 
     u = form.project_domain(xk0)
-    best = (residual(u), u)
+    start = evaluate(u)
+    best = (_distance(u, start[1]), u)
     if best[0] <= tol_block:
         return u
     if H is not None:
-        u, res_norm, _ = form.newton(H, g0, u, tol_block, best[0], residual)
+        u, res_norm, _, _ = form.newton(H, g0, u, tol_block, evaluate, start)
         if res_norm <= tol_block:
             return u
         best = (res_norm, u)
@@ -218,8 +226,8 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         # The exit residual is verified at unit prox step; evaluating it
         # costs a gradient and a prox, so check only when the raw step is
         # already small, plus periodically as a safety net.
-        if float(np.linalg.norm(u_new - z)) <= gate or it % 8 == 7:
-            res_norm = residual(u_new)
+        if _distance(u_new, z) <= gate or it % 8 == 7:
+            res_norm = _distance(u_new, evaluate(u_new)[1])
             if res_norm < best[0]:
                 best = (res_norm, u_new)
             if res_norm <= tol_block:
@@ -391,7 +399,13 @@ def run(problem, config=None, init=None, **overrides):
     max(10 * tol_block, 1e-11) anyway, so each record also carries that
     value as ``d_y`` and its inner minimizer x(y^r) as ``xbar``;
     :func:`blockadmm.diagnostics.compute_gaps` polishes both instead of
-    solving again. Fixed-alpha records leave them NaN and None.
+    solving again. Fixed-alpha records leave them NaN and None. The
+    lookahead's L(x^{r+2}; y^{r+1}) and f(x^{r+2}) become the next
+    record's ``L_val`` and ``f_val`` without being computed again.
+
+    A ConvergenceError from any inner solve, in the primal pass or in
+    the monitor, ends the run with termination "inner_cap" and a warning
+    naming the iteration; the records so far are kept.
     """
     if config is None:
         config = SolverConfig(**overrides)
@@ -431,6 +445,7 @@ def run(problem, config=None, init=None, **overrides):
             )
         x = problem.project_domains(x0)
         y = y0.copy()
+    res = problem.apply_E(x) - problem.q
     records = []
     non_monotone = False
     mu_prev = None
@@ -443,19 +458,28 @@ def run(problem, config=None, init=None, **overrides):
         while True:
             pg_norm = float(np.linalg.norm(
                 proximal_gradient(problem, x, y, rho)))
-            feas = float(np.linalg.norm(problem.apply_E(x) - problem.q))
+            feas = float(np.linalg.norm(res))
             if max(pg_norm, feas) <= config.tol_outer:
                 termination = "converged"
                 break
             if r >= config.max_iters:
                 break
             if pending is not None:
-                x_next, w = pending
+                x_next, w, parts = pending
                 pending = None
             else:
-                x_next, w = _primal_pass(problem, variant, x, y, rho,
-                                         tol_block, beta)
-            L_val = augmented_lagrangian(problem, x_next, y, rho)
+                try:
+                    x_next, w = _primal_pass(problem, variant, x, y, rho,
+                                             tol_block, beta)
+                except ConvergenceError as e:
+                    termination = "inner_cap"
+                    warnings.append(
+                        "a block solve of the primal pass hit its cap at "
+                        "iteration %d; the result holds the last iterate "
+                        "(%s)" % (r, e))
+                    break
+                parts = _lagrangian_parts(problem, x_next, y, rho)
+            f_val, res_next, L_val = parts
             if variant == "jacobi_unsafe":
                 L_at_x = augmented_lagrangian(problem, x, y, rho)
                 if L_val > L_at_x + 1e-12 * (1.0 + abs(L_at_x)):
@@ -465,7 +489,6 @@ def run(problem, config=None, init=None, **overrides):
                             "(undamped Jacobi)" % r
                         )
                     non_monotone = True
-            res_next = problem.apply_E(x_next) - problem.q
             if auto:
                 used_alpha = alpha
                 accepted = False
@@ -480,9 +503,9 @@ def run(problem, config=None, init=None, **overrides):
                                                    y_cand, rho, tol_block,
                                                    beta)
                         cand = dual_eval(y_cand, x_next2)
-                        mu_cand = (augmented_lagrangian(
-                            problem, x_next2, y_cand, rho)
-                            - 2.0 * cand.d_value)
+                        parts2 = _lagrangian_parts(problem, x_next2, y_cand,
+                                                   rho)
+                        mu_cand = parts2[2] - 2.0 * cand.d_value
                         if mu_cand <= mu_prev + _MONITOR_SLACK:
                             accepted = True
                             break
@@ -504,7 +527,7 @@ def run(problem, config=None, init=None, **overrides):
                     non_monotone = True
                 alpha = used_alpha
                 y_next = y_cand
-                pending = (x_next2, w2)
+                pending = (x_next2, w2, parts2)
                 record_d, record_xbar = d_cur, xbar_cur
                 mu_prev = mu_cand
                 d_cur, xbar_cur = cand.d_value, cand.x_of_y
@@ -525,7 +548,7 @@ def run(problem, config=None, init=None, **overrides):
                     step=float(np.linalg.norm(x_next - x)),
                     pg=pg_norm,
                     d_y=record_d,
-                    f_val=objective(problem, x_next),
+                    f_val=f_val,
                     alpha=used_alpha,
                     x=x.copy(),
                     y=y.copy(),
@@ -533,7 +556,7 @@ def run(problem, config=None, init=None, **overrides):
                     w=None if w is None else w.copy(),
                     xbar=record_xbar,
                 ))
-            x, y = x_next, y_next
+            x, y, res = x_next, y_next, res_next
             r += 1
         if termination == "max_iters" and non_monotone:
             termination = "non_monotone_warning"

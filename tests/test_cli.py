@@ -180,6 +180,34 @@ def test_solve_keeps_the_trace_when_an_inner_solve_hits_its_cap(
     assert "cap at iteration 3" in capsys.readouterr().err
 
 
+def test_solve_keeps_the_trace_when_a_block_solve_hits_its_cap(
+        tmp_path, monkeypatch, capsys):
+    # four blocks, fixed alpha: the ninth block solve is the first of the
+    # primal pass of iteration 2
+    calls = []
+    original = solvers.solve_block
+
+    def capped(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 9:
+            raise ConvergenceError("block subproblem hit its cap")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_block", capped)
+    prob = _gen_kblock(tmp_path)
+    trace = tmp_path / "t.csv"
+    report = tmp_path / "r.json"
+    rc = main(["solve", "--problem", str(prob), "--variant", "gs",
+               "--alpha", "0.1", "--trace", str(trace),
+               "--report", str(report)])
+    assert rc == 2
+    doc = json.loads(report.read_text())
+    assert doc["termination"] == "inner_cap" and doc["iterations"] == 2
+    assert len(read_trace_csv(str(trace))) == 2
+    assert len(read_states(states_path_for(str(trace)))[1]) == 2
+    assert "cap at iteration 2" in capsys.readouterr().err
+
+
 def _degenerate_group_problem(tmp_path):
     """E_1 = 0 under a group-l2 term: the reference solve's block sweep
     finds block 1 without curvature. Also returns a well-posed problem

@@ -10,12 +10,15 @@ agree with the accelerated prox-gradient loop, also on blocks with no
 term, where Newton's first step is the plain linear solve; and the dual
 function must agree with the Anderson-accelerated sweeps, which retry
 Newton after each sweep. The kernel is switched off by replacing it
-with one that returns its starting point.
+with one that returns its starting point and evaluation. Every point
+the kernel visits costs one prox, evaluated once by its caller: prox
+calls are counted against the Newton steps solved.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockadmm.diagnostics import reference_solution
@@ -32,8 +35,8 @@ _KINDS = ("l1", "l1_box", "box", "nonneg", "linear_box")
 _GROUP_KINDS = ("group", "group_box", "group_part_box", "sparse_group")
 
 
-def _no_newton(self, H, c, u, tol, norm, residual=None):
-    return u, norm, 0
+def _no_newton(self, H, c, u, tol, evaluate, start):
+    return u, float(np.linalg.norm(u - start[1])), 0, start
 
 
 @st.composite
@@ -193,3 +196,69 @@ def test_group_retry_keeps_the_lagrangian_from_rising():
     res = minimize_lagrangian(p, ref.y, 1.0, tol=TOL, warm_start=xs)
     assert res.prox_grad_norm_at_exit <= TOL
     assert res.newton_steps > 0
+
+
+def _count_prox_and_newton(monkeypatch):
+    """Count ``_Separable.prox`` calls in ``counts["prox"]`` and record
+    (residual, steps) of every Newton solve in ``counts["newton"]``."""
+    counts = {"prox": 0, "newton": []}
+    prox, newton = _Separable.prox, _Separable.newton
+
+    def counted_prox(self, v, t):
+        counts["prox"] += 1
+        return prox(self, v, t)
+
+    def recorded_newton(self, *args):
+        out = newton(self, *args)
+        counts["newton"].append(out[1:3])
+        return out
+
+    monkeypatch.setattr(_Separable, "prox", counted_prox)
+    monkeypatch.setattr(_Separable, "newton", recorded_newton)
+    return counts
+
+
+_RUN_STATES = (
+    (lambda: gen_group_l2(m=30, K=3, n_k=2, seed=0), 1.0),
+    (lambda: gen_lasso(n_obs=40, n_feat=16, seed=0), 0.2),
+)
+
+
+@pytest.mark.parametrize("make, rho", _RUN_STATES)
+def test_block_newton_costs_one_prox_per_point(monkeypatch, make, rho):
+    # the block solves of a fixed-alpha Gauss-Seidel run: a Newton solve
+    # of k steps that meets the tolerance makes k + 1 prox calls, one
+    # for the warm start and one for each point it visits
+    p = make()
+    records = solvers.run(p, variant="gauss_seidel", rho=rho, alpha=0.1,
+                          max_iters=30).records
+    counts = _count_prox_and_newton(monkeypatch)
+    steps_seen = []
+    for rec in records:
+        for k in range(p.K):
+            counts["prox"], counts["newton"] = 0, []
+            solvers.solve_block(p, k, rec.x, rec.y, rho, TOL)
+            if len(counts["newton"]) == 1 and counts["newton"][0][0] <= TOL:
+                steps = counts["newton"][0][1]
+                assert counts["prox"] == steps + 1
+                steps_seen.append(steps)
+    assert len(steps_seen) >= len(records) and max(steps_seen) >= 2
+
+
+@pytest.mark.parametrize("make, rho", _RUN_STATES)
+def test_dual_newton_costs_one_prox_per_point(monkeypatch, make, rho):
+    # d(y) from the run's own iterates: a solve that ends on Newton after
+    # k steps and no sweep makes at most k + 2 prox calls
+    p = make()
+    records = solvers.run(p, variant="gauss_seidel", rho=rho, alpha=0.1,
+                          max_iters=30).records
+    counts = _count_prox_and_newton(monkeypatch)
+    newton_only = 0
+    for rec in records:
+        counts["prox"] = 0
+        res = minimize_lagrangian(p, rec.y, rho, tol=TOL,
+                                  warm_start=rec.x_next)
+        if res.iterations == 0 and res.newton_steps > 0:
+            assert counts["prox"] <= res.newton_steps + 2
+            newton_only += 1
+    assert newton_only >= len(records) // 2

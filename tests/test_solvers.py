@@ -109,8 +109,8 @@ def test_solve_block_warm_start_returns_immediately():
         assert np.array_equal(u2, u)
 
 
-def _no_newton(self, H, c, u, tol, norm, residual):
-    return u, norm, 0
+def _no_newton(self, H, c, u, tol, evaluate, start):
+    return u, float(np.linalg.norm(u - start[1])), 0, start
 
 
 def test_solve_block_cap_error_carries_best():
@@ -532,6 +532,27 @@ def test_run_names_an_inner_solve_cap(monkeypatch):
     assert res.iterations == 3 and len(res.records) == 3
     assert np.array_equal(res.x, res.records[-1].x_next)
     assert any("cap at iteration 3" in note for note in res.warnings)
+
+
+def test_run_names_a_block_solve_cap_in_the_primal_pass(monkeypatch):
+    # a fixed-alpha Gauss-Seidel pass makes K block solves, so the
+    # (2K + 1)-th is the first of iteration 2; make it hit its cap
+    p = _mixed_problem(seed=25)
+    calls = []
+    original = solvers.solve_block
+
+    def capped(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2 * p.K + 1:
+            raise ConvergenceError("block subproblem hit its cap")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_block", capped)
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha=0.1, max_iters=50)
+    assert res.termination == "inner_cap"
+    assert res.iterations == 2 and len(res.records) == 2
+    assert np.array_equal(res.x, res.records[-1].x_next)
+    assert any("cap at iteration 2" in note for note in res.warnings)
 
 
 def test_run_config_validation():
