@@ -43,6 +43,13 @@ VARIANT_NAMES = {
 }
 
 
+# The generator keywords gen passes on when given, as (name, type); the
+# flag of n_k is --n-k.
+_GEN_FLAGS = (("m", int), ("K", int), ("n_k", int), ("n_obs", int),
+              ("n_feat", int), ("rows", int), ("cols", int), ("a", float),
+              ("b", float), ("lam", float), ("w", float), ("noise", float))
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors reported on stderr and exit code 1."""
 
@@ -59,18 +66,9 @@ def build_parser():
 
     p_gen = sub.add_parser("gen", help="generate a benchmark instance")
     p_gen.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p_gen.add_argument("--m", type=int, default=None)
-    p_gen.add_argument("--K", type=int, default=None)
-    p_gen.add_argument("--n-k", type=int, default=None)
-    p_gen.add_argument("--n-obs", type=int, default=None)
-    p_gen.add_argument("--n-feat", type=int, default=None)
-    p_gen.add_argument("--rows", type=int, default=None)
-    p_gen.add_argument("--cols", type=int, default=None)
-    p_gen.add_argument("--a", type=float, default=None)
-    p_gen.add_argument("--b", type=float, default=None)
-    p_gen.add_argument("--lam", type=float, default=None)
-    p_gen.add_argument("--w", type=float, default=None)
-    p_gen.add_argument("--noise", type=float, default=None)
+    for name, kind in _GEN_FLAGS:
+        p_gen.add_argument("--" + name.replace("_", "-"), type=kind,
+                           default=None)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None,
                        help="output path (default: stdout)")
@@ -123,13 +121,8 @@ def build_parser():
 
 
 def _gen_kwargs(args):
-    mapping = {
-        "m": args.m, "K": args.K, "n_k": args.n_k, "n_obs": args.n_obs,
-        "n_feat": args.n_feat, "rows": args.rows, "cols": args.cols,
-        "a": args.a, "b": args.b, "lam": args.lam, "w": args.w,
-        "noise": args.noise,
-    }
-    return {k: v for k, v in mapping.items() if v is not None}
+    return {name: getattr(args, name) for name, _ in _GEN_FLAGS
+            if getattr(args, name) is not None}
 
 
 def _cmd_gen(args, parser):
@@ -255,12 +248,9 @@ def _cmd_sweep(args, parser):
                 variant=VARIANT_NAMES[key], rho=args.rho, alpha=alpha,
                 tol_outer=args.tol, max_iters=args.max_iters,
             )
-            entry = {
-                "variant": key, "alpha": alpha, "rho": args.rho,
-                "termination": "error", "iterations": "",
-                "objective": "", "feas": "", "monotone_combined": "",
-                "rate_mu": "", "rate_r2": "",
-            }
+            entry = dict.fromkeys(_SWEEP_COLUMNS, "")
+            entry.update(variant=key, alpha=alpha, rho=args.rho,
+                         termination="error")
             try:
                 result = run(problem, config)
                 records, _ = compute_gaps(problem, result.records,

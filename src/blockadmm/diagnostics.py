@@ -31,7 +31,7 @@ non-unique (E^T has a nontrivial kernel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -178,6 +178,13 @@ def gamma_value(problem, rho, variant="gauss_seidel", beta=None):
     return rho * min(b.lambda_min for b in problem.blocks)
 
 
+def _gamma_eff(problem, gamma, variant):
+    """gamma for exact and linearized sweeps, gamma * K for the damped
+    Jacobi sweep."""
+    return gamma * problem.K if variant in ("jacobi", "jacobi_unsafe") \
+        else gamma
+
+
 def check_descent_lemma(problem, records, rho, gamma,
                         variant="gauss_seidel", step_floor=0.0):
     """Per-iteration sufficient descent:
@@ -193,8 +200,7 @@ def check_descent_lemma(problem, records, rho, gamma,
     rounding residue and their quotient measures nothing.
     """
     _require_states(records)
-    gamma_eff = gamma * problem.K if variant in ("jacobi", "jacobi_unsafe") \
-        else gamma
+    gamma_eff = _gamma_eff(problem, gamma, variant)
     rows = []
     gamma_observed = float("inf")
     for rec in records:
@@ -206,9 +212,7 @@ def check_descent_lemma(problem, records, rho, gamma,
         slack = 1e-8 * (1.0 + abs(L_at_x))
         rows.append(CheckRow(rec.r, "descent", drop, rhs, slack,
                              drop >= rhs - slack))
-        scale = 1.0 + float(np.linalg.norm(rec.x)) \
-            if rec.x is not None else 1.0
-        if rec.step > step_floor * scale:
+        if rec.step > step_floor * (1.0 + float(np.linalg.norm(rec.x))):
             gamma_observed = min(gamma_observed,
                                  drop / (rec.step * rec.step))
     return rows, gamma_observed
@@ -238,8 +242,7 @@ def check_gap_decrease(problem, records, reference, rho, gamma,
     read back from a trace CSV without one).
     """
     _require_states(records)
-    gamma_eff = gamma * problem.K if variant in ("jacobi", "jacobi_unsafe") \
-        else gamma
+    gamma_eff = _gamma_eff(problem, gamma, variant)
     rows = []
     slack_base = 10.0 * reference.tol_ref
     for prev, cur in zip(records, records[1:]):
@@ -520,18 +523,7 @@ class DiagnosticsReport:
     warnings: list = field(default_factory=list)
 
     def to_doc(self):
-        return {
-            "gamma_observed": self.gamma_observed,
-            "sigma_emp": self.sigma_emp,
-            "lipschitz_ratio_max": self.lipschitz_ratio_max,
-            "rate_mu": self.rate_mu,
-            "fit_r2": self.fit_r2,
-            "tau_primal_emp": self.tau_primal_emp,
-            "tau_dual_emp": self.tau_dual_emp,
-            "monotone_combined": self.monotone_combined,
-            "alpha_bound_estimate": self.alpha_bound_estimate,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 def _combined_monotone_rows(records, tol_ref):
@@ -549,8 +541,7 @@ def _combined_monotone_rows(records, tol_ref):
 def _sigma_emp(records, step_floor):
     worst = 0.0
     for rec in records:
-        scale = 1.0 + float(np.linalg.norm(rec.x)) if rec.x is not None else 1.0
-        if rec.step <= step_floor * scale:
+        if rec.step <= step_floor * (1.0 + float(np.linalg.norm(rec.x))):
             continue
         worst = max(worst, rec.pg / rec.step)
     return worst
@@ -593,8 +584,7 @@ def run_diagnostics(problem, records, rho, variant="gauss_seidel",
     except ValueError as e:
         rate_mu, fit_r2 = float("nan"), float("nan")
         warnings.append(str(e))
-    y_scale = max([1.0] + [float(np.linalg.norm(rec.y)) for rec in records
-                           if rec.y is not None])
+    y_scale = max([1.0] + [float(np.linalg.norm(rec.y)) for rec in records])
     lip = check_dual_lipschitz(problem, rho, n_pairs=lipschitz_pairs,
                                radius=0.1 * y_scale,
                                tol=max(tol_ref * 100, 1e-9), seed=seed)

@@ -256,32 +256,34 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
         return (augmented_lagrangian(problem, z_new, y, rho)
                 <= L_z + 1e-12 * (1.0 + abs(L_z)))
 
-    def newton(z, nz, ez):
-        """Newton from z, whose residual is nz and evaluation ez: its
-        point, residual and evaluation if the residual fell and either
-        meets ``tol`` or L(.; y) did not rise, else z's; and the steps
-        solved."""
-        zn, nn, steps, en = problem.form.newton(H, c, z, tol, evaluate, ez)
-        if nn < nz and (nn <= tol or no_rise(z, zn)):
-            return zn, nn, en, steps
-        return z, nz, ez, steps
-
     ex = evaluate(x)          # (v, p) at x, kept in step with x
     npg = _distance(x, ex[1])
-    newton_steps = 0
     H = problem.hessian(rho)
     if H is not None and not npg <= tol:
         for k, b in enumerate(problem.blocks):
             if b.constants(rho)[2] <= 0:
                 raise ValueError(_NO_CURVATURE % k)
         c = -(problem.E_mat.T @ (y + rho * problem.q)) - problem.lin_smooth
-        x, npg, ex, newton_steps = newton(x, npg, ex)
     best_norm = npg
     best_x = x.copy()
-    sweeps = 0
+    sweeps = newton_steps = 0
     dF, dG = [], []          # differences of residuals and of sweep images
     f_prev = g_prev = None
     while not npg <= tol:    # a NaN residual keeps sweeping to the cap
+        if H is not None:
+            # a Newton point is kept if its residual fell and either meets
+            # tol or L(.; y) did not rise
+            xn, npg_n, steps, en = problem.form.newton(H, c, x, tol,
+                                                       evaluate, ex)
+            newton_steps += steps
+            if npg_n < npg and (npg_n <= tol or no_rise(x, xn)):
+                x, npg, ex = xn, npg_n, en
+                if npg <= tol:
+                    break
+                dF, dG, f_prev = [], [], None
+        if npg < best_norm:
+            best_norm = npg
+            best_x = x.copy()
         if sweeps >= max_sweeps:
             raise ConvergenceError(
                 "inner minimization did not reach tol=%g in %d sweeps "
@@ -315,15 +317,6 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
                 else:
                     dF, dG = [], []
             f_prev, g_prev = f, g
-        if H is not None and npg > tol:
-            xn, npg_n, en, steps = newton(x, npg, ex)
-            newton_steps += steps
-            if npg_n < npg:
-                x, npg, ex = xn, npg_n, en
-                dF, dG, f_prev = [], [], None
-        if npg < best_norm:
-            best_norm = npg
-            best_x = x.copy()
     d_val = augmented_lagrangian(problem, x, y, rho)
     dual_grad = problem.q - problem.apply_E(x)
     return InnerSolveResult(

@@ -17,7 +17,7 @@ All matrices are dense; the model targets small and medium instances
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -481,12 +481,7 @@ class AssumptionReport:
     ok_for_variant: dict = field(default_factory=dict)
 
     def to_doc(self):
-        return {
-            "full_rank": list(self.full_rank),
-            "compact": list(self.compact),
-            "strongly_convex_g": self.strongly_convex_g,
-            "ok_for_variant": dict(self.ok_for_variant),
-        }
+        return asdict(self)
 
 
 def check_assumptions(problem):

@@ -258,7 +258,13 @@ class ProxTerm:
         """Raise ValueError if the term is inconsistent with dimension n."""
 
     def to_doc(self):
-        raise NotImplementedError
+        """JSON-ready dict: the type, then the fields of ``_part``, which
+        are the constructor's arguments; arrays become float lists and
+        groups lists of ints."""
+        return {"type": self.kind,
+                **{k: [J.tolist() for J in v] if k == "groups"
+                   else np.asarray(v).tolist()
+                   for k, v in self._part().items()}}
 
 
 class _Separable(ProxTerm):
@@ -317,7 +323,7 @@ class _Separable(ProxTerm):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        if not (np.all(self.lo <= x) and np.all(x <= self.hi)):
+        if not ((self.lo <= x).all() and (x <= self.hi).all()):
             return float("inf")
         val = float(self.b @ x + self.lam @ np.abs(x))
         if self._order is not None:
@@ -372,16 +378,15 @@ class _Separable(ProxTerm):
         step at the (v, p) it holds, so every point costs one evaluation.
         A step is taken only if the linear residual of its solve is at
         most ``tol`` and the residual falls; a singular or inexact solve,
-        a residual that does not fall, the step cap, or (while no grouped
-        coordinate is free, the one case where an active set fixes the
-        step) a repeated active set ends the loop.
+        a residual that does not fall or the step cap ends the loop. (A
+        repeated active set rebuilds an earlier, worse point, so the
+        residual test ends the loop there too.)
         Returns (point, its residual norm, steps solved, its evaluation):
         the best point seen, which meets ``tol`` or goes to the caller's
         fallback.
         """
         v, p = start
         norm = _distance(u, p)
-        seen = set()
         steps = 0
         order = self._order
         while norm > tol and steps < _NEWTON_MAX_STEPS:
@@ -394,11 +399,6 @@ class _Separable(ProxTerm):
                 nrm = np.sqrt(np.add.reduceat(pg * pg, self._starts))
                 free[order] &= (nrm > 0.0)[self._gid]
                 grouped = bool(free[order].any())
-            if not grouped:
-                key = free.tobytes() + np.where(free, s, p).tobytes()
-                if key in seen:
-                    break
-                seen.add(key)
             F = free.nonzero()[0]
             u_new = np.where(free, 0.0, p)
             if F.size:
@@ -443,9 +443,6 @@ class Zero(ProxTerm):
     def _part(self):
         return {}
 
-    def to_doc(self):
-        return {"type": "zero"}
-
 
 class L1(ProxTerm):
     """h(x) = lam * ||x||_1 with prox the soft threshold at t * lam."""
@@ -460,9 +457,6 @@ class L1(ProxTerm):
 
     def _part(self):
         return {"lam": self.lam}
-
-    def to_doc(self):
-        return {"type": "l1", "lam": self.lam}
 
 
 class GroupL2(ProxTerm):
@@ -488,13 +482,6 @@ class GroupL2(ProxTerm):
                     "group index out of range for dimension %d" % n
                 )
 
-    def to_doc(self):
-        return {
-            "type": "group_l2",
-            "groups": [[int(i) for i in J] for J in self.groups],
-            "weights": [float(w) for w in self.weights],
-        }
-
 
 class SparseGroup(GroupL2):
     """h(x) = lam * ||x||_1 + sum_J w_J * ||x_J||_2.
@@ -515,11 +502,6 @@ class SparseGroup(GroupL2):
 
     def _part(self):
         return {"lam": self.lam, **super()._part()}
-
-    def to_doc(self):
-        doc = super().to_doc()
-        return {"type": self.kind, "lam": self.lam, "groups": doc["groups"],
-                "weights": doc["weights"]}
 
 
 class BoxIndicator(ProxTerm):
@@ -547,13 +529,6 @@ class BoxIndicator(ProxTerm):
                 % (self.lo.size, n)
             )
 
-    def to_doc(self):
-        return {
-            "type": "box",
-            "lo": [float(a) for a in self.lo],
-            "hi": [float(b) for b in self.hi],
-        }
-
 
 class NonnegIndicator(ProxTerm):
     """Indicator of the nonnegative orthant; prox is max(v, 0)."""
@@ -564,6 +539,7 @@ class NonnegIndicator(ProxTerm):
         return {"lo": 0.0}
 
     def to_doc(self):
+        # lo = 0 is the term itself, not a constructor argument
         return {"type": "nonneg"}
 
 
@@ -584,9 +560,6 @@ class Linear(ProxTerm):
                 "linear term has length %d, block has dimension %d"
                 % (self.b.size, n)
             )
-
-    def to_doc(self):
-        return {"type": "linear", "b": [float(a) for a in self.b]}
 
 
 # Combinations of terms whose sum still has an exactly computable prox.

@@ -209,14 +209,13 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
 
     u = form.project_domain(xk0)
     start = evaluate(u)
-    best = (_distance(u, start[1]), u)
-    if best[0] <= tol_block:
-        return u
-    if H is not None:
+    if H is not None:        # a start that meets tol_block takes no step
         u, res_norm, _, _ = form.newton(H, g0, u, tol_block, evaluate, start)
-        if res_norm <= tol_block:
-            return u
-        best = (res_norm, u)
+    else:
+        res_norm = _distance(u, start[1])
+    if res_norm <= tol_block:
+        return u
+    best = (res_norm, u)
     z = u.copy()
     t_mom = 1.0
     gate = 4.0 * step * tol_block

@@ -51,6 +51,10 @@ __all__ = [
 
 CSV_COLUMNS = ("r", "L_val", "delta_p", "delta_d", "combined", "feas",
                "step", "pg", "d_y", "f_val")
+# the stored float columns: all but the index r and the derived combined
+_FLOATS = tuple(c for c in CSV_COLUMNS if c not in ("r", "combined"))
+# the iterate arrays of a sidecar record, after its r and alpha
+_STATES = ("x", "y", "x_next", "w", "xbar")
 
 _NAN = float("nan")
 
@@ -80,18 +84,8 @@ class TraceRecord:
         return self.delta_p + self.delta_d
 
     def csv_row(self):
-        return [
-            str(self.r),
-            repr(float(self.L_val)),
-            repr(float(self.delta_p)),
-            repr(float(self.delta_d)),
-            repr(float(self.combined)),
-            repr(float(self.feas)),
-            repr(float(self.step)),
-            repr(float(self.pg)),
-            repr(float(self.d_y)),
-            repr(float(self.f_val)),
-        ]
+        return [str(self.r)] + [repr(float(getattr(self, c)))
+                                for c in CSV_COLUMNS[1:]]
 
 
 def write_trace_csv(records, path):
@@ -117,18 +111,12 @@ def read_trace_csv(path):
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError("trace row %r has %d fields, expected %d"
+                                 % (row, len(row), len(CSV_COLUMNS)))
+            fields = dict(zip(CSV_COLUMNS, row))
             records.append(TraceRecord(
-                r=int(row[0]),
-                L_val=float(row[1]),
-                delta_p=float(row[2]),
-                delta_d=float(row[3]),
-                # row[4] is the derived combined column
-                feas=float(row[5]),
-                step=float(row[6]),
-                pg=float(row[7]),
-                d_y=float(row[8]),
-                f_val=float(row[9]),
-            ))
+                int(fields["r"]), **{c: float(fields[c]) for c in _FLOATS}))
     return records
 
 
@@ -142,14 +130,9 @@ def records_equal(recs_a, recs_b):
     """NaN-aware equality of the CSV scalar fields of two record lists."""
     if len(recs_a) != len(recs_b):
         return False
-    for a, b in zip(recs_a, recs_b):
-        if a.r != b.r:
-            return False
-        for name in ("L_val", "delta_p", "delta_d", "feas", "step",
-                     "pg", "d_y", "f_val"):
-            if not _scalar_eq(getattr(a, name), getattr(b, name)):
-                return False
-    return True
+    return all(a.r == b.r and all(_scalar_eq(getattr(a, c), getattr(b, c))
+                                  for c in _FLOATS)
+               for a, b in zip(recs_a, recs_b))
 
 
 def states_path_for(trace_path):
@@ -172,16 +155,9 @@ def write_states(records, path, meta=None):
         fh.write('{"meta": %s, "records": [' % json.dumps(dict(meta or {})))
         sep = ""
         for rec in records:
-            entry = {
-                "r": rec.r,
-                "alpha": float(rec.alpha),
-                "x": _vec(rec.x),
-                "y": _vec(rec.y),
-                "x_next": _vec(rec.x_next),
-                "w": _vec(rec.w),
-            }
-            if rec.xbar is not None:
-                entry["xbar"] = _vec(rec.xbar)
+            entry = {"r": rec.r, "alpha": float(rec.alpha)}
+            entry.update((k, _vec(getattr(rec, k))) for k in _STATES
+                         if k != "xbar" or rec.xbar is not None)
             fh.write(sep)
             fh.write(json.dumps(entry))
             sep = ", "
@@ -194,7 +170,7 @@ def _state_from_entry(entry):
     if "x_next" not in entry:
         return entry
     state = {"r": int(entry["r"]), "alpha": float(entry["alpha"])}
-    for key in ("x", "y", "x_next", "w", "xbar"):
+    for key in _STATES:
         vec = entry.get(key)
         state[key] = None if vec is None else np.asarray(vec)
     return state
@@ -218,11 +194,8 @@ def attach_states(records, states):
         if s is None:
             continue
         rec.alpha = s["alpha"]
-        rec.x = s["x"]
-        rec.y = s["y"]
-        rec.x_next = s["x_next"]
-        rec.w = s["w"]
-        rec.xbar = s["xbar"]
+        for key in _STATES:
+            setattr(rec, key, s[key])
     return records
 
 

@@ -1,0 +1,156 @@
+"""Golden tests of the file formats that pass between solve and diagnose.
+
+Round trips pass even when a document's shape drifts (a float in a group
+list still loads, a reordered key still reads back), so these tests pin
+the exact text of a trace CSV and a states sidecar, the JSON form of
+every term kind, and the key order of the reports.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from blockadmm.diagnostics import DiagnosticsReport
+from blockadmm.problem import AssumptionReport
+from blockadmm.prox import (
+    BoxIndicator,
+    GroupL2,
+    L1,
+    Linear,
+    NonnegIndicator,
+    SparseGroup,
+    Zero,
+    term_from_doc,
+    term_to_doc,
+)
+from blockadmm.trace import (
+    TraceRecord,
+    attach_states,
+    read_states,
+    read_trace_csv,
+    records_equal,
+    write_states,
+    write_trace_csv,
+)
+
+_NAN = float("nan")
+
+
+def _records():
+    """Two transitions: the first carries w, xbar and a NaN gap; the
+    second has neither w nor xbar."""
+    return [
+        TraceRecord(r=0, L_val=1.5, delta_p=0.25, delta_d=_NAN, feas=0.001,
+                    step=0.1, pg=0.2, d_y=-0.75, f_val=-2.0, alpha=0.1,
+                    x=np.array([1.0, 2.0]), y=np.array([0.5]),
+                    x_next=np.array([1.5, -0.25]), w=np.array([0.1, 0.2]),
+                    xbar=np.array([1.25, 0.0])),
+        TraceRecord(r=1, L_val=1.25, delta_p=0.125, delta_d=0.0625,
+                    feas=1e-12, step=0.05, pg=0.3, d_y=-0.5, f_val=-1.0,
+                    alpha=0.05, x=np.array([1.5, -0.25]),
+                    y=np.array([0.4]), x_next=np.array([3.0, 0.0])),
+    ]
+
+
+_TRACE_CSV = (
+    "r,L_val,delta_p,delta_d,combined,feas,step,pg,d_y,f_val\r\n"
+    "0,1.5,0.25,nan,nan,0.001,0.1,0.2,-0.75,-2.0\r\n"
+    "1,1.25,0.125,0.0625,0.1875,1e-12,0.05,0.3,-0.5,-1.0\r\n"
+)
+
+_STATES_JSON = (
+    '{"meta": {"rho": 0.5, "variant": "jacobi", "beta": null}, '
+    '"records": ['
+    '{"r": 0, "alpha": 0.1, "x": [1.0, 2.0], "y": [0.5], '
+    '"x_next": [1.5, -0.25], "w": [0.1, 0.2], "xbar": [1.25, 0.0]}, '
+    '{"r": 1, "alpha": 0.05, "x": [1.5, -0.25], "y": [0.4], '
+    '"x_next": [3.0, 0.0], "w": null}'
+    ']}\n'
+)
+
+
+def test_trace_csv_text_is_pinned(tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace_csv(_records(), str(path))
+    assert path.read_bytes().decode() == _TRACE_CSV
+    assert records_equal(read_trace_csv(str(path)), _records())
+
+
+def test_trace_row_of_the_wrong_length_is_rejected(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(_TRACE_CSV.replace(",-0.75,-2.0\r\n", "\r\n"))
+    with pytest.raises(ValueError, match="has 8 fields, expected 10"):
+        read_trace_csv(str(path))
+
+
+def test_states_sidecar_text_is_pinned(tmp_path):
+    path = tmp_path / "t.csv.states.json"
+    write_states(_records(), str(path),
+                 meta={"rho": 0.5, "variant": "jacobi", "beta": None})
+    assert path.read_text() == _STATES_JSON
+    meta, states = read_states(str(path))
+    assert meta == {"rho": 0.5, "variant": "jacobi", "beta": None}
+    back = attach_states([TraceRecord(r=0), TraceRecord(r=1)], states)
+    for orig, got in zip(_records(), back):
+        assert got.alpha == orig.alpha
+        for name in ("x", "y", "x_next", "w", "xbar"):
+            want = getattr(orig, name)
+            if want is None:
+                assert getattr(got, name) is None
+            else:
+                assert np.array_equal(getattr(got, name), want)
+
+
+def test_records_equal_compares_every_csv_scalar():
+    for name in ("r", "L_val", "delta_p", "delta_d", "feas", "step", "pg",
+                 "d_y", "f_val"):
+        changed = _records()
+        setattr(changed[1], name, getattr(changed[1], name) + 1)
+        assert not records_equal(_records(), changed), name
+    assert records_equal(_records(), _records())
+
+
+_TERM_DOCS = [
+    (Zero(), {"type": "zero"}),
+    (L1(0.5), {"type": "l1", "lam": 0.5}),
+    (GroupL2([[0, 1], [2]], [1, 0.5]),
+     {"type": "group_l2", "groups": [[0, 1], [2]], "weights": [1.0, 0.5]}),
+    (SparseGroup(0.25, [[2], [0, 1]], [2, 1]),
+     {"type": "sparse_group", "lam": 0.25, "groups": [[2], [0, 1]],
+      "weights": [2.0, 1.0]}),
+    (BoxIndicator([-1, 0], [1, 2]),
+     {"type": "box", "lo": [-1.0, 0.0], "hi": [1.0, 2.0]}),
+    (NonnegIndicator(), {"type": "nonneg"}),
+    (Linear([1, -2.5]), {"type": "linear", "b": [1.0, -2.5]}),
+]
+
+
+def test_term_docs_are_pinned():
+    # json.dumps pins key order and int-versus-float spelling as well
+    for term, expected in _TERM_DOCS:
+        doc = term_to_doc(term)
+        assert json.dumps(doc) == json.dumps(expected), term.kind
+        assert json.dumps(term_to_doc(term_from_doc(doc))) == json.dumps(doc)
+
+
+def test_report_docs_keep_their_key_order():
+    report = DiagnosticsReport(
+        gamma_observed=1.0, sigma_emp=2.0, lipschitz_ratio_max=0.5,
+        rate_mu=0.9, fit_r2=0.99, tau_primal_emp=3.0, tau_dual_emp=4.0,
+        monotone_combined=True, alpha_bound_estimate=0.25,
+        warnings=["w"])
+    assert report.to_doc()["warnings"] is not report.warnings
+    assert json.dumps(report.to_doc()) == (
+        '{"gamma_observed": 1.0, "sigma_emp": 2.0, '
+        '"lipschitz_ratio_max": 0.5, "rate_mu": 0.9, "fit_r2": 0.99, '
+        '"tau_primal_emp": 3.0, "tau_dual_emp": 4.0, '
+        '"monotone_combined": true, "alpha_bound_estimate": 0.25, '
+        '"warnings": ["w"]}')
+    assumptions = AssumptionReport(
+        full_rank=[True, False], compact=[False, False],
+        strongly_convex_g=False, ok_for_variant={"gauss_seidel": True})
+    assert json.dumps(assumptions.to_doc()) == (
+        '{"full_rank": [true, false], "compact": [false, false], '
+        '"strongly_convex_g": false, "ok_for_variant": '
+        '{"gauss_seidel": true}}')
