@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .lagrangian import (
+    ConvergenceError,
     augmented_lagrangian,
     minimize_lagrangian,
     proximal_gradient,
@@ -83,7 +84,8 @@ def reference_solution(problem, rho, tol_ref=1e-10, y0=None,
 
     Stops when ||grad d(y)|| <= tol_ref / (1 + ||y||), which guarantees
     both the feasibility residual and the duality gap |f* - d*| are at
-    the tol_ref level.
+    the tol_ref level. Raises ConvergenceError, carrying the last y and
+    its gradient norm, after ``max_outer`` dual steps.
     """
     if rho <= 0:
         raise ValueError("rho must be positive, got %g" % rho)
@@ -105,11 +107,12 @@ def reference_solution(problem, rho, tol_ref=1e-10, y0=None,
                 f_star=objective(problem, inner.x_of_y),
                 tol_ref=tol_ref,
             )
-        y = y + rho * inner.dual_grad
+        y_last, y = y, y + rho * inner.dual_grad
         warm = inner.x_of_y
-    raise RuntimeError(
+    raise ConvergenceError(
         "reference solve did not reach ||grad d|| <= %g in %d dual steps "
-        "(last norm %g)" % (tol_ref, max_outer, gnorm)
+        "(last norm %g)" % (tol_ref, max_outer, gnorm),
+        best_x=y_last, best_value=gnorm,
     )
 
 
@@ -432,13 +435,10 @@ def estimate_error_bound_constants(problem, rho, reference, n_samples=20,
             continue
         tau_d = max(tau_d, float(np.linalg.norm(ys - reference.y)) / gnorm)
         n_d += 1
-    EEt = problem.E_mat @ problem.E_mat.T
-    evals = np.linalg.eigvalsh(EEt)
-    dual_nonunique = bool(evals[0] <= 1e-10 * max(evals[-1], 1e-300))
     return ErrorBoundEstimate(
         tau_primal=tau_p,
         tau_dual=tau_d,
-        dual_upper_bound_only=dual_nonunique,
+        dual_upper_bound_only=problem.dual_nonunique,
         n_primal_used=n_p,
         n_dual_used=n_d,
     )

@@ -31,21 +31,12 @@ active-set steps minimize it exactly; a group adds the curvature of its
 norm to each step.
 
 Otherwise, or when Newton stops short of the tolerance, the inner
-minimization iterates the cyclic block coordinate descent
-sweep x -> S(x), which is the solver's own Gauss-Seidel primal pass
-(``blockadmm.solvers._primal_gauss_seidel``: each block subproblem is
-solved to high accuracy by :func:`blockadmm.solvers.solve_block`). It
-speeds the sweep up with safeguarded Anderson acceleration (Walker & Ni,
-SIAM J. Numer. Anal. 49, 2011; Zhang, O'Donoghue & Boyd, "Globally
-convergent type-I Anderson acceleration for nonsmooth fixed-point
-iterations", arXiv:1808.03971):
-after each sweep the last few sweep residuals S(x) - x are combined into
-an extrapolated point, which replaces S(x) only when its prox-gradient
-residual is smaller, it lies near S(x) and L(.; y) does not rise. After
-each sweep Newton is retried from the current iterate, and its point is
-kept when its residual is smaller and L(.; y) does not rise. Sweeps
-repeat until the prox-gradient residual of the whole iterate is below
-tolerance.
+minimization runs restarted FISTA on the whole vector (Beck & Teboulle,
+SIAM J. Imaging Sci. 2, 2009; O'Donoghue & Candes, Found. Comput. Math.
+15, 2015) from Newton's best point, retrying Newton at each residual
+test, until the prox-gradient residual of the whole iterate is below
+tolerance. The block solve of :func:`blockadmm.solvers.solve_block` is
+the same routine on one block's subproblem.
 """
 
 from __future__ import annotations
@@ -156,8 +147,8 @@ class InnerSolveResult:
     d_value : d(y) = L(x_of_y; y).
     dual_grad : q - E x_of_y.
     prox_grad_norm_at_exit : residual norm at the returned iterate.
-    iterations : number of full block sweeps performed (0 when the
-        Newton kernel alone met the tolerance).
+    iterations : number of FISTA iterations performed (0 when the warm
+        start or the Newton kernel alone met the tolerance).
     newton_steps : number of whole-problem Newton steps solved.
     """
 
@@ -172,19 +163,101 @@ class InnerSolveResult:
 _NO_CURVATURE = ("block %d has no curvature; its subproblem is unbounded or "
                  "degenerate")
 
-# Number of past sweep residuals the Anderson extrapolation combines.
-_ANDERSON_MEMORY = 5
-# An extrapolated point may lie at most this many sweep residuals
-# ||S(x) - x|| from the sweep image S(x).
-_ANDERSON_REACH = 100.0
+# Default cap on the prox-gradient iterations of one inner solve, for the
+# whole vector and for one block alike.
+_MAX_ITER = 50000
+
+
+def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
+                  start=None):
+    """Minimize phi(u) + h(u), with ``grad`` the gradient of the smooth
+    convex phi, 1/``step`` a bound on its Lipschitz constant and h the
+    separable ``form``; when phi is the quadratic 1/2 u^T H u + c^T u,
+    ``H`` is given, else it is None.
+
+    Every point the solve tests costs one gradient and one prox, v = z -
+    grad(z) and p = prox_h(v, 1), and its residual is ||z - p||;
+    ``start`` is that evaluation at ``u`` when the caller already has it.
+    With H, the active-set Newton kernel (``_Separable.newton``) runs
+    first, from ``u``. A start or Newton point that meets ``tol`` is the
+    result. Otherwise restarted FISTA (Beck & Teboulle, SIAM J. Imaging
+    Sci. 2, 2009; restart on the gradient-mapping test of O'Donoghue &
+    Candes, Found. Comput. Math. 15, 2015) runs from the best point so
+    far. It tests the residual when its step is small and at every 8th
+    iteration; there, with H, Newton is retried from the new point, and
+    a retried point whose residual is below the best seen replaces the
+    iterate and resets the momentum.
+
+    Returns (point, its residual, FISTA iterations, Newton steps); the
+    iterations are 0 when the start or Newton met ``tol``. After
+    ``max_iter`` iterations raises ConvergenceError, naming ``what`` and
+    carrying the best point and residual.
+    """
+    def evaluate(z):
+        v = z - grad(z)
+        return v, form.prox(v, 1.0)
+
+    if start is None:
+        start = evaluate(u)
+    newton_steps = 0
+    if H is not None:        # a start that meets tol takes no step
+        u, res_norm, newton_steps, _ = form.newton(H, c, u, tol, evaluate,
+                                                   start)
+    else:
+        res_norm = _distance(u, start[1])
+    if res_norm <= tol:
+        return u, res_norm, 0, newton_steps
+    best = (res_norm, u)
+    z = u
+    t_mom = 1.0
+    gate = 4.0 * step * tol
+    for it in range(max_iter):
+        u_new = form.prox(z - step * grad(z), step)
+        du = u_new - u
+        # The exit residual is verified at unit prox step; evaluating it
+        # costs a gradient and a prox, so check only when the raw step is
+        # already small, plus periodically as a safety net.
+        if _distance(u_new, z) <= gate or it % 8 == 7:
+            e = evaluate(u_new)
+            res_norm = _distance(u_new, e[1])
+            if res_norm < best[0]:
+                best = (res_norm, u_new)
+            if res_norm <= tol:
+                return u_new, res_norm, it + 1, newton_steps
+            if H is not None:
+                u_n, res_n, steps, _ = form.newton(H, c, u_new, tol,
+                                                   evaluate, e)
+                newton_steps += steps
+                if res_n < best[0]:
+                    best = (res_n, u_n)
+                    if res_n <= tol:
+                        return u_n, res_n, it + 1, newton_steps
+                    u = z = u_n
+                    t_mom = 1.0
+                    continue
+        # momentum restart on the gradient-mapping test: the latest step
+        # points against the travel direction, so the momentum is stale
+        if t_mom > 1.0 and float((z - u_new) @ du) > 0.0:
+            t_mom = 1.0
+            z = u_new
+            u = u_new
+            continue
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        z = u_new + ((t_mom - 1.0) / t_next) * du
+        u = u_new
+        t_mom = t_next
+    raise ConvergenceError(
+        "%s did not reach tol=%g in %d iterations (best residual %g)"
+        % (what, tol, max_iter, best[0]),
+        best_x=best[1], best_value=best[0],
+    )
 
 
 def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
-                        max_sweeps=None):
-    """Minimize L(.; y) by an active-set Newton solve where every smooth
-    gradient is affine, else (or when Newton stops short) by
-    Anderson-accelerated cyclic block coordinate descent, with a Newton
-    retry after each sweep.
+                        max_iter=_MAX_ITER):
+    """Minimize L(.; y) over the whole vector by an active-set Newton
+    solve where every smooth gradient is affine, then, when Newton stops
+    short, restarted FISTA with Newton retries (``_newton_fista``).
 
     The Newton kernel runs first when every block has an affine smooth
     gradient (``problem.hessian(rho)`` is not None), for every term kind,
@@ -193,45 +266,22 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
     ``problem.hessian(rho)`` plus the curvature of each nonzero group's
     norm; it is taken only if its linear solve is accurate to ``tol``
     and the full prox-gradient residual falls. A Newton point that meets
-    ``tol`` is the result. One that stops short is kept only if its
-    residual fell and L(.; y) did not rise (up to 1e-12 (1 + |L|)); then
-    the sweeps start from it, else from the point Newton started from.
-    ``newton_steps`` in the result counts every Newton step solved. A
-    block without curvature raises the ValueError of
-    :func:`blockadmm.solvers.solve_block` before Newton runs. Every
-    point the solve visits (the warm start, each Newton point, each
-    sweep image and Anderson candidate) costs one smooth gradient and
-    one prox: the iterate's (v, p) is kept with it and is each Newton
-    call's start, so a solve that ends on Newton after k steps and no
-    sweep makes k + 1 prox calls.
-
-    Each sweep S is the Gauss-Seidel primal pass of the solver: it
-    solves every block subproblem exactly (to a tolerance well below
-    ``tol``, loosened while the iterate is still far from the
-    minimizer). After the sweep, the recent residuals f = S(x) - x give
-    the Anderson extrapolation (Walker & Ni 2011): with the columns of dF
-    and dG the last (at most five) successive differences of f and of
-    S(x) over the iterates, and gamma
-    the least-squares solution of dF gamma = f, the candidate is S(x) -
-    dG gamma projected onto the block domains. The candidate replaces
-    S(x) only if its prox-gradient residual norm is finite and smaller
-    than that of S(x), it lies within 100 ||f|| of S(x), and L(.; y) is
-    not larger there; otherwise the history is cleared and S(x) is kept
-    (the safeguard of Zhang, O'Donoghue & Boyd, arXiv:1808.03971), so
-    no step ends with a larger residual than the plain sweep from the
-    same iterate would have. While the residual is above ``tol``, Newton
-    is then retried from the current iterate on the terms above, and a
-    kept retry clears the history too.
+    ``tol`` is the result. Otherwise FISTA runs from Newton's best point
+    with step 1 / (max_k L_k + rho ||E||^2), a bound on the Lipschitz
+    constant of the smooth gradient, and retries Newton at each residual
+    test. ``newton_steps`` in the result counts every Newton step solved
+    and ``iterations`` the FISTA iterations. A block without curvature
+    raises the ValueError of :func:`blockadmm.solvers.solve_block` once
+    the start misses ``tol``. Every point the solve tests (the warm
+    start, each Newton point, each FISTA point whose residual is tested)
+    costs one smooth gradient and one prox, so a solve that ends on
+    Newton after k steps makes k + 1 prox calls.
 
     The solve stops once the full prox-gradient residual norm is at most
-    ``tol``; ``iterations`` in the result counts sweeps, and a warm start
-    that already meets ``tol``, or a Newton solve that does, returns
-    after none. Raises
-    ConvergenceError (carrying the best iterate seen, swept,
-    extrapolated or from Newton) if the sweep cap is reached.
+    ``tol``; a warm start that already meets it returns after no
+    iteration. Raises ConvergenceError (carrying the best iterate seen)
+    after ``max_iter`` FISTA iterations.
     """
-    from .solvers import _primal_gauss_seidel
-
     if rho <= 0:
         raise ValueError("rho must be positive, got %g" % rho)
     y = np.asarray(y, dtype=float)
@@ -243,88 +293,27 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
         x = np.asarray(warm_start, dtype=float).copy()
         if x.shape != (problem.n,):
             raise ValueError("warm_start has wrong shape")
-    if max_sweeps is None:
-        max_sweeps = 100 * problem.K * max(problem.n, 1)
-    block_tol = tol / (10.0 * np.sqrt(problem.K))
-
-    def evaluate(z):
-        return _gradient_and_prox(problem, z, y, rho)
-
-    def no_rise(z, z_new):
-        """L(z_new; y) <= L(z; y), up to rounding."""
-        L_z = augmented_lagrangian(problem, z, y, rho)
-        return (augmented_lagrangian(problem, z_new, y, rho)
-                <= L_z + 1e-12 * (1.0 + abs(L_z)))
-
-    ex = evaluate(x)          # (v, p) at x, kept in step with x
-    npg = _distance(x, ex[1])
-    H = problem.hessian(rho)
-    if H is not None and not npg <= tol:
+    start = _gradient_and_prox(problem, x, y, rho)
+    npg = _distance(x, start[1])
+    iterations = newton_steps = 0
+    if not npg <= tol:
         for k, b in enumerate(problem.blocks):
             if b.constants(rho)[2] <= 0:
                 raise ValueError(_NO_CURVATURE % k)
-        c = -(problem.E_mat.T @ (y + rho * problem.q)) - problem.lin_smooth
-    best_norm = npg
-    best_x = x.copy()
-    sweeps = newton_steps = 0
-    dF, dG = [], []          # differences of residuals and of sweep images
-    f_prev = g_prev = None
-    while not npg <= tol:    # a NaN residual keeps sweeping to the cap
-        if H is not None:
-            # a Newton point is kept if its residual fell and either meets
-            # tol or L(.; y) did not rise
-            xn, npg_n, steps, en = problem.form.newton(H, c, x, tol,
-                                                       evaluate, ex)
-            newton_steps += steps
-            if npg_n < npg and (npg_n <= tol or no_rise(x, xn)):
-                x, npg, ex = xn, npg_n, en
-                if npg <= tol:
-                    break
-                dF, dG, f_prev = [], [], None
-        if npg < best_norm:
-            best_norm = npg
-            best_x = x.copy()
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                "inner minimization did not reach tol=%g in %d sweeps "
-                "(best residual %g)" % (tol, max_sweeps, best_norm),
-                best_x=best_x, best_value=best_norm,
-            )
-        # Blocks far from the joint fixed point need not be polished to
-        # the final tolerance; tighten as the full residual shrinks.
-        sweep_tol = max(block_tol, min(1e-4, 0.01 * npg))
-        g = _primal_gauss_seidel(problem, x, y, rho, sweep_tol)
-        sweeps += 1
-        f = g - x
-        ex = evaluate(g)
-        x, npg = g, _distance(g, ex[1])
-        if not np.isfinite(npg):
-            dF, dG, f_prev = [], [], None
-        else:
-            if f_prev is not None:
-                dF.append(f - f_prev)
-                dG.append(g - g_prev)
-                del dF[:-_ANDERSON_MEMORY], dG[:-_ANDERSON_MEMORY]
-                gamma = np.linalg.lstsq(np.column_stack(dF), f,
-                                        rcond=None)[0]
-                xa = problem.project_domains(g - np.column_stack(dG) @ gamma)
-                ea = evaluate(xa)
-                npg_a = _distance(xa, ea[1])
-                if (npg_a < npg and np.linalg.norm(xa - g)
-                        <= _ANDERSON_REACH * np.linalg.norm(f)
-                        and no_rise(g, xa)):
-                    x, npg, ex = xa, npg_a, ea
-                else:
-                    dF, dG = [], []
-            f_prev, g_prev = f, g
-    d_val = augmented_lagrangian(problem, x, y, rho)
-    dual_grad = problem.q - problem.apply_E(x)
+        H = problem.hessian(rho)
+        c = None if H is None else \
+            -(problem.E_mat.T @ (y + rho * problem.q)) - problem.lin_smooth
+        step_L = (max(b.lipschitz for b in problem.blocks)
+                  + rho * problem.norm_E ** 2)
+        x, npg, iterations, newton_steps = _newton_fista(
+            problem.form, H, c, lambda z: smooth_gradient(problem, z, y, rho),
+            1.0 / step_L, x, tol, max_iter, "inner minimization", start)
     return InnerSolveResult(
         x_of_y=x,
-        d_value=d_val,
-        dual_grad=dual_grad,
+        d_value=augmented_lagrangian(problem, x, y, rho),
+        dual_grad=problem.q - problem.apply_E(x),
         prox_grad_norm_at_exit=npg,
-        iterations=sweeps,
+        iterations=iterations,
         newton_steps=newton_steps,
     )
 

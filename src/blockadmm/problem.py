@@ -43,44 +43,11 @@ __all__ = [
     "residual_vector",
     "check_assumptions",
     "check_gradient_consistency",
-    "spectral_norm_power",
     "problem_to_doc",
     "problem_from_doc",
     "save_problem",
     "load_problem",
 ]
-
-
-def spectral_norm_power(M, tol=1e-10, max_iter=200000, seed=0):
-    """Largest singular value of M by power iteration on its Gram matrix.
-
-    Iterates v <- G v / ||G v|| on the smaller of M^T M and M M^T with a
-    fixed internal seed, tracking the Rayleigh quotient v^T G v, and stops
-    when the quotient's relative change drops below ``tol``.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError("spectral norm expects a matrix")
-    if M.size == 0 or not np.any(M):
-        return 0.0
-    m, n = M.shape
-    G = M.T @ M if n <= m else M @ M.T
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (G @ v))
-        done = abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300)
-        lam = lam_new
-        if done:
-            break
-    return float(np.sqrt(max(lam, 0.0)))
 
 
 class SmoothTerm:
@@ -264,7 +231,11 @@ class Problem:
     q : (m,) right-hand side of the coupling constraint.
     m, n, K : constraint dimension, total variable dimension, block count.
     E_mat : (m, n) assembled coupling matrix.
-    norm_E : spectral norm of E_mat (power iteration, relative tol 1e-10).
+    norm_E : spectral norm of E_mat.
+    dual_nonunique : whether E^T has a nontrivial kernel (m > n, or
+        lambda_min(E E^T) <= 1e-10 lambda_max), so that the dual solution
+        need not be unique. Both come from one eigvalsh of the smaller
+        Gram matrix of E_mat.
     metadata : dict with per-block lambda_min(E_k^T E_k), ||E_k||, and
         the global ||E||.
     form : the block forms concatenated, so that the prox, value and
@@ -274,21 +245,25 @@ class Problem:
         smooth gradient is not affine.
     """
 
-    def __init__(self, blocks, q, E_mat, norm_E):
+    def __init__(self, blocks, q, E_mat):
         self.blocks = blocks
         self.q = q
         self.m = q.size
         self.K = len(blocks)
         self.n = sum(b.n_k for b in blocks)
         self.E_mat = E_mat
-        self.norm_E = norm_E
+        evals = np.linalg.eigvalsh(E_mat @ E_mat.T if 0 < self.m <= self.n
+                                   else E_mat.T @ E_mat)
+        self.norm_E = float(np.sqrt(max(evals[-1], 0.0)))
+        self.dual_nonunique = bool(
+            self.m > self.n or evals[0] <= 1e-10 * max(evals[-1], 1e-300))
         self.form = _Separable.concat([b.form for b in blocks])
         affine = all(b.hess_smooth is not None for b in blocks)
         self.lin_smooth = np.concatenate(
             [b.lin_smooth for b in blocks]) if affine else None
         self._hessian = None          # (rho, hessian(rho)) of the last rho
         self.metadata = {
-            "norm_E": norm_E,
+            "norm_E": self.norm_E,
             "lambda_min_blocks": [b.lambda_min for b in blocks],
             "norm_E_blocks": [b.norm_E for b in blocks],
         }
@@ -412,8 +387,7 @@ def build_problem(blocks, q):
         offset += n_k
         built.append(_BuiltBlock(k, E, A, smooth, h, nonsmooth, box, sl))
     E_mat = np.hstack([b.E for b in built])
-    norm_E = spectral_norm_power(E_mat)
-    prob = Problem(built, q, E_mat, norm_E)
+    prob = Problem(built, q, E_mat)
     check_gradient_consistency(prob, only_oracles=True)
     return prob
 

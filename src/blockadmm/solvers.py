@@ -20,10 +20,11 @@ Primal passes:
   detected and flagged.
 
 One function, ``_primal_pass``, takes the pass of any variant; ``run``
-and the public ``step_*`` functions both call it, and the inner
-minimization of :mod:`blockadmm.lagrangian` repeats the Gauss-Seidel
-pass to evaluate d(y) where its Newton solve does not. Block solves read
-their per-rho constants from the block (``_BuiltBlock.constants``).
+and the public ``step_*`` functions both call it. An exact block solve
+is the inner solve of :mod:`blockadmm.lagrangian` (Newton, then
+restarted FISTA) on the block's subproblem, the routine that evaluates
+d(y) on the whole vector; it reads its per-rho constants from the block
+(``_BuiltBlock.constants``).
 
 With alpha="auto" the driver starts at alpha = 0.1 * rho and enforces
 monotonicity of the combined optimality gap via a lookahead: a candidate
@@ -44,15 +45,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lagrangian import (
+    _MAX_ITER,
     _NO_CURVATURE,
     ConvergenceError,
     _lagrangian_parts,
+    _newton_fista,
     augmented_lagrangian,
     minimize_lagrangian,
     proximal_gradient,
 )
 from .problem import check_assumptions, objective
-from .prox import _distance
 from .trace import TraceRecord
 
 __all__ = [
@@ -148,7 +150,7 @@ def default_beta(problem, rho):
 
 
 def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
-                max_iter=50000):
+                max_iter=_MAX_ITER):
     """Exactly minimize block k of the augmented Lagrangian with every
     other block fixed at its value in x.
 
@@ -162,20 +164,20 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     stops when the block prox-gradient residual is at most ``tol_block``;
     a warm start that already satisfies the tolerance returns
     immediately. Scalar-curvature blocks are solved in closed form via a
-    single prox. Other blocks with an affine smooth gradient, whatever
-    their term (none, l1, box, nonneg, linear, group-l2 with or without
-    a box, sparse-group), first try the safeguarded active-set Newton
-    kernel of the separable form (``_Separable.newton``) on the
-    subproblem Hessian H; with no term its first step is the linear
-    solve H u = -g0, kept only when it is accurate to ``tol_block``.
-    The warm start's gradient and prox, computed for the tolerance test,
-    are the kernel's start, and the kernel evaluates each point it visits
-    once, so a Newton solve of k steps that meets ``tol_block`` makes
-    k + 1 prox calls in all.
-    Blocks with a non-affine smooth gradient, and any Newton solve that
-    stops short of ``tol_block``, go to an accelerated prox-gradient
-    loop with adaptive restart, started from Newton's best point. A
-    block without curvature raises ValueError.
+    single prox. Every other block goes to the inner solve of
+    :mod:`blockadmm.lagrangian` (``_newton_fista``) on the subproblem:
+    with an affine smooth gradient, whatever the term (none, l1, box,
+    nonneg, linear, group-l2 with or without a box, sparse-group), the
+    safeguarded active-set Newton kernel of the separable form runs
+    first on the subproblem Hessian H (with no term its first step is
+    the linear solve H u = -g0, kept only when it is accurate to
+    ``tol_block``); then, or with a non-affine smooth gradient, restarted
+    FISTA with step 1 / lambda_max(H) (1 / (L_k + rho ||E_k||^2) without
+    H) runs from the best point, with a Newton retry at each residual
+    test. The warm start's gradient and prox are the kernel's start, and
+    every point is evaluated once, so a Newton solve of k steps that
+    meets ``tol_block`` makes k + 1 prox calls in all. A block without
+    curvature raises ValueError.
     """
     if rho <= 0:
         raise ValueError("rho must be positive, got %g" % rho)
@@ -184,8 +186,7 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     xk0 = x[b.sl]
     if coupling is None:
         coupling = problem.apply_E(x) - b.E @ xk0 - problem.q
-    Ety = b.E.T @ y
-    lin0 = rho * (b.E.T @ coupling) - Ety
+    lin0 = rho * (b.E.T @ coupling) - b.E.T @ y
     H, eta, step_L = b.constants(rho)
     if H is not None:
         g0 = lin0 - b.lin_smooth
@@ -193,60 +194,18 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         def grad_phi(u):
             return H @ u + g0
     else:
+        g0 = None
+
         def grad_phi(u):
             return b.smooth_grad(u) + rho * (b.EtE @ u) + lin0
 
-    form = b.form
     if eta is not None:
-        return form.prox(-g0 / eta, 1.0 / eta)
+        return b.form.prox(-g0 / eta, 1.0 / eta)
     if step_L <= 0:
         raise ValueError(_NO_CURVATURE % k)
-    step = 1.0 / step_L
-
-    def evaluate(z):
-        v = z - grad_phi(z)
-        return v, form.prox(v, 1.0)
-
-    u = form.project_domain(xk0)
-    start = evaluate(u)
-    if H is not None:        # a start that meets tol_block takes no step
-        u, res_norm, _, _ = form.newton(H, g0, u, tol_block, evaluate, start)
-    else:
-        res_norm = _distance(u, start[1])
-    if res_norm <= tol_block:
-        return u
-    best = (res_norm, u)
-    z = u.copy()
-    t_mom = 1.0
-    gate = 4.0 * step * tol_block
-    for it in range(max_iter):
-        u_new = form.prox(z - step * grad_phi(z), step)
-        du = u_new - u
-        # The exit residual is verified at unit prox step; evaluating it
-        # costs a gradient and a prox, so check only when the raw step is
-        # already small, plus periodically as a safety net.
-        if _distance(u_new, z) <= gate or it % 8 == 7:
-            res_norm = _distance(u_new, evaluate(u_new)[1])
-            if res_norm < best[0]:
-                best = (res_norm, u_new)
-            if res_norm <= tol_block:
-                return u_new
-        # momentum restart on the gradient-mapping test: the latest step
-        # points against the travel direction, so the momentum is stale
-        if t_mom > 1.0 and float((z - u_new) @ du) > 0.0:
-            t_mom = 1.0
-            z = u_new
-            u = u_new
-            continue
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        z = u_new + ((t_mom - 1.0) / t_next) * du
-        u = u_new
-        t_mom = t_next
-    raise ConvergenceError(
-        "block %d subproblem did not reach tol=%g in %d iterations "
-        "(best residual %g)" % (k, tol_block, max_iter, best[0]),
-        best_x=best[1], best_value=best[0],
-    )
+    return _newton_fista(b.form, H, g0, grad_phi, 1.0 / step_L,
+                         b.form.project_domain(xk0), tol_block, max_iter,
+                         "block %d subproblem" % k)[0]
 
 
 def _primal_gauss_seidel(problem, x, y, rho, tol_block):

@@ -6,13 +6,13 @@ group-l2 term it steps with the group's curvature. On random problems
 (l1, boxes that may exclude 0, a linear shift, nonneg, group-l2 with or
 without a box and over all or part of the coordinates, sparse-group;
 coupling matrices that may be rank deficient) the block solve must
-agree with the accelerated prox-gradient loop, also on blocks with no
-term, where Newton's first step is the plain linear solve; and the dual
-function must agree with the Anderson-accelerated sweeps, which retry
-Newton after each sweep. The kernel is switched off by replacing it
-with one that returns its starting point and evaluation. Every point
-the kernel visits costs one prox, evaluated once by its caller: prox
-calls are counted against the Newton steps solved.
+agree with the restarted FISTA loop alone, also on blocks with no term,
+where Newton's first step is the plain linear solve; and so must the
+dual function, whose whole-vector solve is the same routine. The kernel
+is switched off by replacing it with one that returns its starting
+point and evaluation, which also switches off its retries inside the
+loop. Every point the kernel visits costs one prox, evaluated once by
+its caller: prox calls are counted against the Newton steps solved.
 """
 
 from unittest import mock
@@ -147,8 +147,8 @@ def test_dual_function_newton_agrees_with_block_sweeps(case):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(problems(("l1", "zero")))
 def test_dual_function_newton_agrees_with_block_sweeps_on_zero_blocks(case):
-    # zero-term blocks, often with rank-deficient coupling: neither an
-    # Anderson step nor a Newton point may carry the iterate far off
+    # zero-term blocks, often with rank-deficient coupling, where the
+    # Newton system is often singular and FISTA does most of the work
     _dual_agreement(case)
 
 
@@ -248,7 +248,7 @@ def test_block_newton_costs_one_prox_per_point(monkeypatch, make, rho):
 @pytest.mark.parametrize("make, rho", _RUN_STATES)
 def test_dual_newton_costs_one_prox_per_point(monkeypatch, make, rho):
     # d(y) from the run's own iterates: a solve that ends on Newton after
-    # k steps and no sweep makes at most k + 2 prox calls
+    # k steps and no FISTA iteration makes at most k + 2 prox calls
     p = make()
     records = solvers.run(p, variant="gauss_seidel", rho=rho, alpha=0.1,
                           max_iters=30).records

@@ -20,7 +20,6 @@ from blockadmm.problem import (
     problem_to_doc,
     residual_vector,
     save_problem,
-    spectral_norm_power,
 )
 from blockadmm.prox import L1, BoxIndicator, GroupL2, Linear, NonnegIndicator
 from blockadmm.diagnostics import reference_solution
@@ -92,13 +91,13 @@ def test_problem_arrays_are_read_only():
         p.E_mat[0, 0] = 5.0
 
 
-def test_spectral_norm_power_matches_svd():
+def test_norm_E_matches_svd():
     rng = np.random.default_rng(0)
     for _ in range(10):
         M = rng.standard_normal((rng.integers(2, 8), rng.integers(2, 8)))
-        got = spectral_norm_power(M)
+        p = build_problem([Block(E=M)], np.zeros(M.shape[0]))
         ref = np.linalg.norm(M, 2)
-        assert abs(got - ref) < 1e-8 * (1 + ref)
+        assert abs(p.norm_E - ref) < 1e-12 * (1 + ref)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Solver variants: block solves, sweep steps, descent margins, run()."""
 
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -553,6 +554,51 @@ def test_run_names_a_block_solve_cap_in_the_primal_pass(monkeypatch):
     assert res.iterations == 2 and len(res.records) == 2
     assert np.array_equal(res.x, res.records[-1].x_next)
     assert any("cap at iteration 2" in note for note in res.warnings)
+
+
+def _lower_lookaheads(monkeypatch, lowered):
+    """Lower d(y) by 1 in the monitor's d(y) solves whose 1-based call
+    numbers are in ``lowered``, which raises the monitored gap there.
+    Call 1 solves d(y^0); with no rejection before it, call k >= 2 is
+    the first lookahead of iteration k - 2."""
+    calls = []
+    original = solvers.minimize_lagrangian
+
+    def lowered_d(*args, **kwargs):
+        inner = original(*args, **kwargs)
+        calls.append(args)
+        if len(calls) in lowered:
+            inner = replace(inner, d_value=inner.d_value - 1.0)
+        return inner
+
+    monkeypatch.setattr(solvers, "minimize_lagrangian", lowered_d)
+
+
+def test_run_halves_alpha_on_a_rejected_lookahead(monkeypatch):
+    # iteration 3's first lookahead is rejected; its second, at half the
+    # step, is accepted, and the halved step is kept from there on
+    _lower_lookaheads(monkeypatch, {5})
+    p = _mixed_problem(seed=26)
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+              max_iters=2000)
+    assert res.termination == "converged"
+    alphas = [rec.alpha for rec in res.records]
+    assert alphas[:3] == [0.1] * 3
+    assert alphas[3:] == [0.1 * 0.5] * (len(alphas) - 3)
+    assert res.warnings == []
+
+
+def test_run_flags_a_gap_that_rises_after_six_halvings(monkeypatch):
+    # all seven tries of iteration 3 are rejected: the seventh is
+    # committed at alpha / 64, with a warning and the non-monotone flag
+    _lower_lookaheads(monkeypatch, set(range(5, 12)))
+    p = _mixed_problem(seed=26)
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+              max_iters=10)
+    assert res.termination == "non_monotone_warning"
+    assert [rec.alpha for rec in res.records[3:]] == [0.1 / 64] * 7
+    assert res.warnings == ["combined gap still increased after 6 stepsize "
+                            "halvings at iteration 3"]
 
 
 def test_run_config_validation():
