@@ -126,24 +126,24 @@ def _require_states(records):
             )
 
 
-def compute_gaps(problem, records, reference, rho, inner_tol=None):
+def compute_gaps(problem, records, reference, rho):
     """Fill d_y, delta_p, delta_d (and the inner minimizer xbar) on each
     record via warm-started inner solves at the reference accuracy.
 
     A record that already carries an inner minimizer ``xbar`` of its own
     y (the auto-alpha monitor of :func:`blockadmm.solvers.run` stores
     one) warm-starts from it, so its solve only polishes to
-    ``inner_tol``; any other record starts from the previous record's
-    minimizer, or from its own x for the first. Either way the solve
-    runs to ``inner_tol`` and overwrites ``xbar`` and ``d_y``.
+    ``reference.tol_ref``; any other record starts from the previous
+    record's minimizer, or from its own x for the first. Either way the
+    solve runs to ``reference.tol_ref`` and overwrites ``xbar`` and
+    ``d_y``.
 
     Returns (records, rows) where the rows verify the identity
     delta_p - delta_d = L_val - d* and the nonnegativity of both gaps up
     to 10 * tol_ref.
     """
     _require_states(records)
-    if inner_tol is None:
-        inner_tol = reference.tol_ref
+    inner_tol = reference.tol_ref
     rows = []
     warm = None
     for rec in records:
@@ -342,8 +342,8 @@ class LipschitzCheck:
 
 
 def check_dual_lipschitz(problem, rho, n_pairs=100, radius=1.0, tol=1e-8,
-                         seed=0, center=None):
-    """Sample pairs of dual points within ``radius`` of ``center`` and
+                         seed=0):
+    """Sample pairs of dual points within ``radius`` of the origin and
     bound the ratio ||grad d(y) - grad d(y')|| / ||y - y'||.
 
     The theoretical constant is 1 / rho; the returned bound adds
@@ -351,14 +351,13 @@ def check_dual_lipschitz(problem, rho, n_pairs=100, radius=1.0, tol=1e-8,
     pairs are skipped.
     """
     rng = np.random.default_rng(seed)
-    c = np.zeros(problem.m) if center is None else np.asarray(center, float)
     max_ratio = 0.0
     min_dist = float("inf")
     used = 0
     warm = None
     for _ in range(n_pairs):
-        y1 = c + radius * rng.standard_normal(problem.m)
-        y2 = c + radius * rng.standard_normal(problem.m)
+        y1 = radius * rng.standard_normal(problem.m)
+        y2 = radius * rng.standard_normal(problem.m)
         dist = float(np.linalg.norm(y1 - y2))
         if dist <= 1e-12:
             continue

@@ -35,8 +35,9 @@ minimization runs restarted FISTA on the whole vector (Beck & Teboulle,
 SIAM J. Imaging Sci. 2, 2009; O'Donoghue & Candes, Found. Comput. Math.
 15, 2015) from Newton's best point, retrying Newton at each residual
 test, until the prox-gradient residual of the whole iterate is below
-tolerance. The block solve of :func:`blockadmm.solvers.solve_block` is
-the same routine on one block's subproblem.
+tolerance. The exact block solve of the primal pass, :func:`solve_block`,
+is the same routine on one block's subproblem, or one prox when the
+block's subproblem Hessian is a positive multiple of I.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "smooth_gradient",
     "proximal_gradient",
     "minimize_lagrangian",
+    "solve_block",
     "dual_value",
     "dual_gradient",
 ]
@@ -73,7 +75,9 @@ class ConvergenceError(RuntimeError):
         self.best_value = best_value
 
 
-def _check_xy(problem, x, y):
+def _check_xy(problem, x, y, rho):
+    if rho < 0:
+        raise ValueError("rho must be nonnegative, got %g" % rho)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (problem.n,):
@@ -95,7 +99,7 @@ def augmented_lagrangian(problem, x, y, rho):
     """L(x; y) = f(x) + <y, q - E x> + (rho/2) * ||q - E x||^2."""
     if rho <= 0:
         raise ValueError("rho must be positive, got %g" % rho)
-    x, y = _check_xy(problem, x, y)
+    x, y = _check_xy(problem, x, y, rho)
     return _lagrangian_parts(problem, x, y, rho)[2]
 
 
@@ -107,9 +111,12 @@ def smooth_gradient(problem, x, y, rho):
     rho = 0 is allowed here (plain Lagrangian gradient); the augmented
     value and the dual function still require rho > 0.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative, got %g" % rho)
-    x, y = _check_xy(problem, x, y)
+    x, y = _check_xy(problem, x, y, rho)
+    return _smooth_gradient(problem, x, y, rho)
+
+
+def _smooth_gradient(problem, x, y, rho):
+    """``smooth_gradient`` for a checked x, y and rho."""
     w = rho * residual_vector(problem, x) - y
     out = problem.E_mat.T @ w
     for b in problem.blocks:
@@ -122,7 +129,7 @@ def _gradient_and_prox(problem, x, y, rho):
     """(v, p) at x, with v = x - [smooth gradient of L(.; y)] and
     p = prox_h(v, 1): one smooth gradient and one prox of the whole
     vector (h is separable across blocks)."""
-    v = x - smooth_gradient(problem, x, y, rho)
+    v = x - _smooth_gradient(problem, x, y, rho)
     return v, problem.form.prox(v, 1.0)
 
 
@@ -135,7 +142,7 @@ def proximal_gradient(problem, x, y, rho):
     exactly at inner minimizers; its norm is the inner stopping criterion
     everywhere in this package.
     """
-    x = np.asarray(x, dtype=float)
+    x, y = _check_xy(problem, x, y, rho)
     return x - _gradient_and_prox(problem, x, y, rho)[1]
 
 
@@ -201,8 +208,7 @@ def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
         start = evaluate(u)
     newton_steps = 0
     if H is not None:        # a start that meets tol takes no step
-        u, res_norm, newton_steps, _ = form.newton(H, c, u, tol, evaluate,
-                                                   start)
+        u, res_norm, newton_steps = form.newton(H, c, u, tol, evaluate, start)
     else:
         res_norm = _distance(u, start[1])
     if res_norm <= tol:
@@ -225,8 +231,7 @@ def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
             if res_norm <= tol:
                 return u_new, res_norm, it + 1, newton_steps
             if H is not None:
-                u_n, res_n, steps, _ = form.newton(H, c, u_new, tol,
-                                                   evaluate, e)
+                u_n, res_n, steps = form.newton(H, c, u_new, tol, evaluate, e)
                 newton_steps += steps
                 if res_n < best[0]:
                     best = (res_n, u_n)
@@ -271,11 +276,11 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
     constant of the smooth gradient, and retries Newton at each residual
     test. ``newton_steps`` in the result counts every Newton step solved
     and ``iterations`` the FISTA iterations. A block without curvature
-    raises the ValueError of :func:`blockadmm.solvers.solve_block` once
-    the start misses ``tol``. Every point the solve tests (the warm
-    start, each Newton point, each FISTA point whose residual is tested)
-    costs one smooth gradient and one prox, so a solve that ends on
-    Newton after k steps makes k + 1 prox calls.
+    (``_BuiltBlock.nu(rho)`` zero) raises the ValueError of
+    :func:`solve_block` once the start misses ``tol``. Every point the
+    solve tests (the warm start, each Newton point, each FISTA point whose
+    residual is tested) costs one smooth gradient and one prox, so a
+    solve that ends on Newton after k steps makes k + 1 prox calls.
 
     The solve stops once the full prox-gradient residual norm is at most
     ``tol``; a warm start that already meets it returns after no
@@ -298,7 +303,7 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
     iterations = newton_steps = 0
     if not npg <= tol:
         for k, b in enumerate(problem.blocks):
-            if b.constants(rho)[2] <= 0:
+            if b.nu(rho) <= 0:
                 raise ValueError(_NO_CURVATURE % k)
         H = problem.hessian(rho)
         c = None if H is None else \
@@ -306,16 +311,82 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
         step_L = (max(b.lipschitz for b in problem.blocks)
                   + rho * problem.norm_E ** 2)
         x, npg, iterations, newton_steps = _newton_fista(
-            problem.form, H, c, lambda z: smooth_gradient(problem, z, y, rho),
+            problem.form, H, c, lambda z: _smooth_gradient(problem, z, y, rho),
             1.0 / step_L, x, tol, max_iter, "inner minimization", start)
+    _, res, d_value = _lagrangian_parts(problem, x, y, rho)
     return InnerSolveResult(
         x_of_y=x,
-        d_value=augmented_lagrangian(problem, x, y, rho),
-        dual_grad=problem.q - problem.apply_E(x),
+        d_value=d_value,
+        dual_grad=-res,
         prox_grad_norm_at_exit=npg,
         iterations=iterations,
         newton_steps=newton_steps,
     )
+
+
+def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
+                max_iter=_MAX_ITER):
+    """Exactly minimize block k of the augmented Lagrangian with every
+    other block fixed at its value in x.
+
+    The block subproblem is
+
+        min_u  h_k(u) + g_k(A_k u) - <y, E_k u>
+               + (rho/2) * ||E_k u + c||^2 ,
+
+    with c the coupling residual sum_{j != k} E_j x_j - q (precompute and
+    pass it as ``coupling`` to skip a matrix-vector product). The solve
+    stops when the block prox-gradient residual is at most ``tol_block``;
+    a warm start that already satisfies the tolerance returns
+    immediately. A block whose subproblem Hessian is (a + rho e) * I
+    with a + rho e > 0 (``scalar_curvature`` = (a, e), fixed at build) is
+    solved in closed form by a single prox. Every other block goes to
+    ``_newton_fista`` on the subproblem: with an affine smooth gradient,
+    whatever the term (none, l1, box, nonneg, linear, group-l2 with or
+    without a box, sparse-group), the safeguarded active-set Newton
+    kernel of the separable form runs first on the subproblem Hessian
+    H = hess_smooth + rho E_k^T E_k, built at the call (with no term its
+    first step is the linear solve H u = -g0, kept only when it is
+    accurate to ``tol_block``); then, or with a non-affine smooth
+    gradient, restarted FISTA with step 1 / nu_k, nu_k = L_k +
+    rho ||E_k||^2 the block's curvature bound (``_BuiltBlock.nu``), runs
+    from the best point, with a Newton retry at each residual test. The
+    warm start's gradient and prox are the kernel's start, and every
+    point is evaluated once, so a Newton solve of k steps that meets
+    ``tol_block`` makes k + 1 prox calls in all. A block without
+    curvature (nu_k zero) raises ValueError.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be positive, got %g" % rho)
+    b = problem.blocks[k]
+    x = np.asarray(x, dtype=float)
+    xk0 = x[b.sl]
+    if coupling is None:
+        coupling = problem.apply_E(x) - b.E @ xk0 - problem.q
+    lin0 = rho * (b.E.T @ coupling) - b.E.T @ y
+    if b.scalar_curvature is not None:
+        a, e = b.scalar_curvature
+        eta = a + rho * e
+        if eta > 0:
+            return b.form.prox(-(lin0 - b.lin_smooth) / eta, 1.0 / eta)
+    nu = b.nu(rho)
+    if nu <= 0:
+        raise ValueError(_NO_CURVATURE % k)
+    if b.hess_smooth is not None:
+        H = b.hess_smooth + rho * b.EtE
+        g0 = lin0 - b.lin_smooth
+
+        def grad_phi(u):
+            return H @ u + g0
+    else:
+        H = g0 = None
+
+        def grad_phi(u):
+            return b.smooth_grad(u) + rho * (b.EtE @ u) + lin0
+
+    return _newton_fista(b.form, H, g0, grad_phi, 1.0 / nu,
+                         b.form.project_domain(xk0), tol_block, max_iter,
+                         "block %d subproblem" % k)[0]
 
 
 def dual_value(problem, y, rho, tol=1e-10, warm_start=None):

@@ -129,16 +129,23 @@ class Block:
     box: tuple | None = None
 
 
+def _scalar_multiple(M):
+    """s when the symmetric M is s * I to 1e-10 relative, else None."""
+    s = float(np.trace(M)) / M.shape[0]
+    off = M - s * np.eye(M.shape[0])
+    return s if float(np.linalg.norm(off)) <= 1e-10 * max(1.0, s) else None
+
+
 class _BuiltBlock:
     """A validated block with precomputed solver constants; ``form`` is
-    its effective nonsmooth term compiled into the separable form."""
+    its effective nonsmooth term (box folded in) compiled into the
+    separable form."""
 
     def __init__(self, k, E, A, smooth, h, nonsmooth, box, sl):
         self.k = k
         self.E = E
         self.A = A
         self.smooth = smooth
-        self.h = h                    # effective nonsmooth term (box folded in)
         self.nonsmooth = nonsmooth    # declared term, for serialization
         self.box = box                # declared (lo, hi) or None
         self.sl = sl                  # slice of this block in the flat vector
@@ -176,33 +183,19 @@ class _BuiltBlock:
             self.lipschitz = smooth.lipschitz_L
             self.hess_smooth = None   # gradient is not affine
             self.lin_smooth = None
-        self._constants = None        # (rho, constants(rho)) of the last rho
-
-    def constants(self, rho):
-        """Block-solve constants at penalty rho, as (H, scalar_eta, step_L).
-
-        H = hess_smooth + rho * EtE is the subproblem Hessian (None when
-        the smooth gradient is not affine); scalar_eta is eta when H is
-        eta * I with eta > 0, else None; step_L is the curvature bound of
-        the prox-gradient loop, zero on a block without curvature. Only
-        the last rho is kept, so a sweep over rho holds one entry.
-        """
-        memo = self._constants
-        if memo is not None and memo[0] == rho:
-            return memo[1]
-        H = scalar_eta = None
+        # (a, e) when hess_smooth = a * I and E^T E = e * I, so that the
+        # subproblem Hessian is (a + rho * e) * I at every rho; else None
+        self.scalar_curvature = None
         if self.hess_smooth is not None:
-            H = self.hess_smooth + rho * self.EtE
-            eta = float(np.trace(H)) / self.n_k
-            off = H - eta * np.eye(self.n_k)
-            if eta > 0 and float(np.linalg.norm(off)) <= 1e-10 * max(1.0, eta):
-                scalar_eta = eta
-            step_L = float(max(np.linalg.eigvalsh(H)[-1], 0.0))
-        else:
-            step_L = self.lipschitz + rho * self.norm_E ** 2
-        constants = (H, scalar_eta, step_L)
-        self._constants = (rho, constants)
-        return constants
+            a = _scalar_multiple(self.hess_smooth)
+            e = _scalar_multiple(self.EtE)
+            if a is not None and e is not None:
+                self.scalar_curvature = (a, e)
+
+    def nu(self, rho):
+        """Curvature bound L_k + rho * ||E_k||^2 of the block subproblem,
+        zero on a block without curvature."""
+        return self.lipschitz + rho * self.norm_E ** 2
 
     def smooth_value(self, xk):
         if self.smooth is None:
@@ -221,9 +214,9 @@ class _BuiltBlock:
 
 class Problem:
     """A validated block problem. Its data are immutable after build and
-    safe to share; each block memoizes its block-solve constants for the
-    last rho it was solved at (``_BuiltBlock.constants``), and the
-    problem its Hessian (``hessian``), which changes no result.
+    safe to share. The one per-rho state is the memo of ``hessian`` for
+    the last rho, which changes no result; each block's curvature facts
+    (``scalar_curvature``, the bound ``nu(rho)``) are fixed at build.
 
     Attributes
     ----------
@@ -236,8 +229,6 @@ class Problem:
         lambda_min(E E^T) <= 1e-10 lambda_max), so that the dual solution
         need not be unique. Both come from one eigvalsh of the smaller
         Gram matrix of E_mat.
-    metadata : dict with per-block lambda_min(E_k^T E_k), ||E_k||, and
-        the global ||E||.
     form : the block forms concatenated, so that the prox, value and
         domain projection of a flat iterate are one call each.
     lin_smooth : the blocks' lin_smooth concatenated, so that the smooth
@@ -262,11 +253,6 @@ class Problem:
         self.lin_smooth = np.concatenate(
             [b.lin_smooth for b in blocks]) if affine else None
         self._hessian = None          # (rho, hessian(rho)) of the last rho
-        self.metadata = {
-            "norm_E": self.norm_E,
-            "lambda_min_blocks": [b.lambda_min for b in blocks],
-            "norm_E_blocks": [b.norm_E for b in blocks],
-        }
         for arr in (self.q, self.E_mat):
             arr.setflags(write=False)
         for b in blocks:

@@ -381,9 +381,8 @@ class _Separable(ProxTerm):
         a residual that does not fall or the step cap ends the loop. (A
         repeated active set rebuilds an earlier, worse point, so the
         residual test ends the loop there too.)
-        Returns (point, its residual norm, steps solved, its evaluation):
-        the best point seen, which meets ``tol`` or goes to the caller's
-        fallback.
+        Returns (point, its residual norm, steps solved): the best point
+        seen, which meets ``tol`` or goes to the caller's fallback.
         """
         v, p = start
         norm = _distance(u, p)
@@ -432,7 +431,7 @@ class _Separable(ProxTerm):
             if not norm_new < norm:
                 break
             u, norm, v, p = u_new, norm_new, v_new, p_new
-        return u, norm, steps, (v, p)
+        return u, norm, steps
 
 
 class Zero(ProxTerm):

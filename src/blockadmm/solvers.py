@@ -21,10 +21,10 @@ Primal passes:
 
 One function, ``_primal_pass``, takes the pass of any variant; ``run``
 and the public ``step_*`` functions both call it. An exact block solve
-is the inner solve of :mod:`blockadmm.lagrangian` (Newton, then
-restarted FISTA) on the block's subproblem, the routine that evaluates
-d(y) on the whole vector; it reads its per-rho constants from the block
-(``_BuiltBlock.constants``).
+is :func:`blockadmm.lagrangian.solve_block`, imported here: the module
+that evaluates d(y) on the whole vector decides how every inner
+minimization is done, and the primal passes call it through this
+module's ``solve_block``.
 
 With alpha="auto" the driver starts at alpha = 0.1 * rho and enforces
 monotonicity of the combined optimality gap via a lookahead: a candidate
@@ -45,14 +45,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lagrangian import (
-    _MAX_ITER,
-    _NO_CURVATURE,
     ConvergenceError,
     _lagrangian_parts,
-    _newton_fista,
     augmented_lagrangian,
     minimize_lagrangian,
     proximal_gradient,
+    solve_block,
 )
 from .problem import check_assumptions, objective
 from .trace import TraceRecord
@@ -135,7 +133,7 @@ def nu_constant(problem, rho):
     the bare smooth curvature (zero when no smooth terms are present)."""
     if rho < 0:
         raise ValueError("rho must be nonnegative, got %g" % rho)
-    return max(b.lipschitz + rho * b.norm_E ** 2 for b in problem.blocks)
+    return max(b.nu(rho) for b in problem.blocks)
 
 
 def default_beta(problem, rho):
@@ -147,65 +145,6 @@ def default_beta(problem, rho):
             "positive curvature bound"
         )
     return 1.01 * nu
-
-
-def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
-                max_iter=_MAX_ITER):
-    """Exactly minimize block k of the augmented Lagrangian with every
-    other block fixed at its value in x.
-
-    The block subproblem is
-
-        min_u  h_k(u) + g_k(A_k u) - <y, E_k u>
-               + (rho/2) * ||E_k u + c||^2 ,
-
-    with c the coupling residual sum_{j != k} E_j x_j - q (precompute and
-    pass it as ``coupling`` to skip a matrix-vector product). The solve
-    stops when the block prox-gradient residual is at most ``tol_block``;
-    a warm start that already satisfies the tolerance returns
-    immediately. Scalar-curvature blocks are solved in closed form via a
-    single prox. Every other block goes to the inner solve of
-    :mod:`blockadmm.lagrangian` (``_newton_fista``) on the subproblem:
-    with an affine smooth gradient, whatever the term (none, l1, box,
-    nonneg, linear, group-l2 with or without a box, sparse-group), the
-    safeguarded active-set Newton kernel of the separable form runs
-    first on the subproblem Hessian H (with no term its first step is
-    the linear solve H u = -g0, kept only when it is accurate to
-    ``tol_block``); then, or with a non-affine smooth gradient, restarted
-    FISTA with step 1 / lambda_max(H) (1 / (L_k + rho ||E_k||^2) without
-    H) runs from the best point, with a Newton retry at each residual
-    test. The warm start's gradient and prox are the kernel's start, and
-    every point is evaluated once, so a Newton solve of k steps that
-    meets ``tol_block`` makes k + 1 prox calls in all. A block without
-    curvature raises ValueError.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive, got %g" % rho)
-    b = problem.blocks[k]
-    x = np.asarray(x, dtype=float)
-    xk0 = x[b.sl]
-    if coupling is None:
-        coupling = problem.apply_E(x) - b.E @ xk0 - problem.q
-    lin0 = rho * (b.E.T @ coupling) - b.E.T @ y
-    H, eta, step_L = b.constants(rho)
-    if H is not None:
-        g0 = lin0 - b.lin_smooth
-
-        def grad_phi(u):
-            return H @ u + g0
-    else:
-        g0 = None
-
-        def grad_phi(u):
-            return b.smooth_grad(u) + rho * (b.EtE @ u) + lin0
-
-    if eta is not None:
-        return b.form.prox(-g0 / eta, 1.0 / eta)
-    if step_L <= 0:
-        raise ValueError(_NO_CURVATURE % k)
-    return _newton_fista(b.form, H, g0, grad_phi, 1.0 / step_L,
-                         b.form.project_domain(xk0), tol_block, max_iter,
-                         "block %d subproblem" % k)[0]
 
 
 def _primal_gauss_seidel(problem, x, y, rho, tol_block):

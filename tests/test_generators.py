@@ -37,7 +37,9 @@ def test_l1_kblock_shapes_and_seed_variation():
     assert not np.array_equal(p0.E_mat, p1.E_mat)
     for b in p0.blocks:
         assert b.E.shape == (6, 1)
-        assert b.h.kind == "sum"           # box folded into the l1 term
+        # the box folded into the l1 term
+        assert b.form.lo[0] == -1.0 and b.form.hi[0] == 1.0
+        assert b.form.lam[0] == 1.0
 
 
 def test_l1_kblock_feasible_interior_point():
@@ -106,7 +108,9 @@ def test_lasso_structure():
     assert p.blocks[0].E.shape == (8, 5)
     assert np.array_equal(p.blocks[1].E, np.eye(8))
     assert p.blocks[1].lambda_min == 1.0
-    assert p.blocks[0].h.kind == "l1"
+    assert np.all(p.blocks[0].form.lam == 0.3)
+    assert np.all(np.isinf(p.blocks[0].form.lo))
+    assert np.all(np.isinf(p.blocks[0].form.hi))
     with pytest.raises(ValueError):
         gen_lasso(K=3)
     with pytest.raises(ValueError):

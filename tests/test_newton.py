@@ -36,7 +36,7 @@ _GROUP_KINDS = ("group", "group_box", "group_part_box", "sparse_group")
 
 
 def _no_newton(self, H, c, u, tol, evaluate, start):
-    return u, float(np.linalg.norm(u - start[1])), 0, start
+    return u, float(np.linalg.norm(u - start[1])), 0
 
 
 @st.composite

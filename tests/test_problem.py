@@ -32,8 +32,7 @@ from blockadmm.diagnostics import reference_solution
 def test_build_identity_block_metadata():
     p = build_problem([Block(E=np.eye(2))], np.zeros(2))
     assert p.m == 2 and p.n == 2 and p.K == 1
-    assert p.metadata["lambda_min_blocks"] == [1.0]
-    assert abs(p.metadata["norm_E"] - 1.0) < 1e-12
+    assert abs(p.norm_E - 1.0) < 1e-12
     assert p.blocks[0].lambda_min == 1.0
 
 
@@ -110,7 +109,9 @@ def test_add_slack_block_shape():
     p_ge = add_slack_block(p, "ge")
     assert p_ge.K == 2
     assert np.array_equal(p_ge.blocks[1].E, -np.eye(2))
-    assert p_ge.blocks[1].h.kind == "nonneg"
+    slack = p_ge.blocks[1].form        # the nonnegative orthant
+    assert np.all(slack.lo == 0.0) and np.all(slack.hi == np.inf)
+    assert not slack.lam.any()
     p_le = add_slack_block(p, "le")
     assert np.array_equal(p_le.blocks[1].E, np.eye(2))
     # applying twice keeps stacking independent slack blocks

@@ -7,14 +7,25 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from blockadmm.generators import gen_lasso
+from blockadmm.generators import (
+    gen_consensus,
+    gen_group_l2,
+    gen_l1_kblock,
+    gen_lasso,
+)
 from blockadmm.lagrangian import (
     ConvergenceError,
     augmented_lagrangian,
     minimize_lagrangian,
     proximal_gradient,
 )
-from blockadmm.problem import Block, SmoothTerm, build_problem, objective
+from blockadmm.problem import (
+    Block,
+    SmoothTerm,
+    add_slack_block,
+    build_problem,
+    objective,
+)
 from blockadmm.prox import L1, BoxIndicator, GroupL2, _Separable
 from blockadmm.diagnostics import reference_solution
 from blockadmm.solvers import (
@@ -29,7 +40,7 @@ from blockadmm.solvers import (
     step_proximal,
 )
 from blockadmm.trace import records_equal
-from blockadmm import solvers
+from blockadmm import lagrangian, solvers
 
 
 def _mixed_problem(seed=0, m=3):
@@ -111,7 +122,7 @@ def test_solve_block_warm_start_returns_immediately():
 
 
 def _no_newton(self, H, c, u, tol, evaluate, start):
-    return u, float(np.linalg.norm(u - start[1])), 0, start
+    return u, float(np.linalg.norm(u - start[1])), 0
 
 
 def test_solve_block_cap_error_carries_best():
@@ -460,9 +471,11 @@ def test_run_records_match_the_public_steps_bitwise():
 
 
 def test_runs_over_several_rho_on_one_problem_match_fresh_builds():
-    # Each block keeps the solve constants of the last rho only; going
-    # back to an earlier rho recomputes them and gives the same bits.
+    # A block holds no per-rho state: runs at rho = 1, 0.5, 1 on one
+    # problem give the bits of fresh builds and add or rebind no
+    # attribute of any block.
     shared = _mixed_problem(seed=27)
+    built = [dict(vars(blk)) for blk in shared.blocks]
     for rho in (1.0, 0.5, 1.0):
         a = run(shared, variant="gauss_seidel", rho=rho, alpha="auto",
                 tol_outer=1e-8, max_iters=15)
@@ -474,7 +487,46 @@ def test_runs_over_several_rho_on_one_problem_match_fresh_builds():
             assert np.array_equal(ra.x_next, rb.x_next)
             assert np.array_equal(ra.xbar, rb.xbar)
             assert ra.d_y == rb.d_y and ra.alpha == rb.alpha
-        assert all(blk._constants[0] == rho for blk in shared.blocks)
+        for blk, attrs in zip(shared.blocks, built):
+            assert vars(blk).keys() == attrs.keys()
+            assert all(vars(blk)[name] is value
+                       for name, value in attrs.items())
+
+
+def _closed_form_cases():
+    """(problem, block index, whether its subproblem Hessian is a
+    multiple of I at every rho)."""
+    lasso = gen_lasso(n_obs=8, n_feat=5, seed=0)
+    consensus = gen_consensus(K=3, rows=6, cols=4, seed=0)
+    slack = add_slack_block(gen_lasso(n_obs=6, n_feat=4, seed=1), "ge")
+    kblock = gen_l1_kblock(m=6, K=4, seed=0)
+    group = gen_group_l2(m=8, K=3, n_k=2, seed=0)
+    return ([(kblock, k, True) for k in range(kblock.K)]
+            + [(lasso, 0, False), (lasso, 1, True)]
+            + [(consensus, k, False) for k in range(3)]
+            + [(consensus, 3, True), (slack, slack.K - 1, True)]
+            + [(group, k, False) for k in range(group.K)])
+
+
+@pytest.mark.parametrize("rho", [0.2, 1.0, 3.0])
+def test_closed_form_block_solve_fires_exactly_on_scalar_curvature(
+        monkeypatch, rho):
+    calls = []
+    newton_fista = lagrangian._newton_fista
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return newton_fista(*args, **kwargs)
+
+    monkeypatch.setattr(lagrangian, "_newton_fista", counted)
+    rng = np.random.default_rng(5)
+    for p, k, scalar in _closed_form_cases():
+        assert (p.blocks[k].scalar_curvature is not None) == scalar
+        x = p.project_domains(rng.standard_normal(p.n))
+        y = rng.standard_normal(p.m)
+        calls.clear()
+        solve_block(p, k, x, y, rho, 1e-10)
+        assert len(calls) == (0 if scalar else 1), (k, scalar)
 
 
 def test_run_keeps_the_monitors_inner_minimizer():
