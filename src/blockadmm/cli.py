@@ -87,10 +87,8 @@ def build_parser():
     p_solve.add_argument("--trace", default=None,
                          help="write the iteration trace CSV here (a "
                               ".states.json sidecar is written next to it)")
-    p_solve.add_argument("--trace-every", type=int, default=1)
     p_solve.add_argument("--report", default=None,
                          help="result JSON path (default: stdout)")
-    p_solve.add_argument("--seed", type=int, default=0)
 
     p_sweep = sub.add_parser("sweep",
                              help="grid of dual stepsizes and variants")
@@ -179,8 +177,6 @@ def _cmd_solve(args, parser):
         beta=_parse_float_or_auto(args.beta, "beta", parser),
         tol_outer=args.tol,
         max_iters=args.max_iters,
-        trace_every=args.trace_every,
-        seed=args.seed,
     )
     try:
         _resolve(problem, config)
@@ -200,7 +196,6 @@ def _cmd_solve(args, parser):
             "alpha": config.alpha,
             "tol_outer": config.tol_outer,
             "tol_block": result.tol_block,
-            "seed": config.seed,
         })
     _write_json({
         "final_alpha": result.final_alpha,
@@ -300,13 +295,14 @@ def _cmd_diagnose(args, parser):
     attach_states(records, states)
     if not records:
         parser.error("trace %s holds no records" % args.trace)
-    rho = float(meta.get("rho", 1.0))
-    variant = meta.get("variant", "gauss_seidel")
-    beta = meta.get("beta")
+    for key in ("rho", "variant"):
+        if key not in meta:
+            parser.error("iterate states %s hold no %r in their meta; "
+                         "solve --trace writes it" % (sidecar, key))
     try:
         report, rows, _ = run_diagnostics(
-            problem, records, rho, variant=variant, beta=beta,
-            tol_ref=args.tol_ref, seed=args.seed,
+            problem, records, float(meta["rho"]), variant=meta["variant"],
+            beta=meta.get("beta"), tol_ref=args.tol_ref, seed=args.seed,
         )
     except (ValueError, RuntimeError) as e:
         print("diagnosis failed: %s" % e, file=sys.stderr)

@@ -65,6 +65,8 @@ __all__ = [
     "run_diagnostics",
 ]
 
+_MIN_POINTS = 20     # usable tail points a geometric fit needs
+
 
 @dataclass
 class Reference:
@@ -117,13 +119,18 @@ def reference_solution(problem, rho, tol_ref=1e-10, y0=None,
 
 
 def _require_states(records):
-    for rec in records:
+    """Reject records without iterate states or not consecutive in r:
+    the checks pair consecutive iterations."""
+    for i, rec in enumerate(records):
         if rec.x is None or rec.y is None or rec.x_next is None:
             raise ValueError(
                 "record %d has no iterate states; solve with a trace path "
                 "so the states sidecar is written, and load it alongside "
                 "the CSV" % rec.r
             )
+        if i and rec.r != records[i - 1].r + 1:
+            raise ValueError("record %d follows record %d"
+                             % (rec.r, records[i - 1].r))
 
 
 def compute_gaps(problem, records, reference, rho):
@@ -238,18 +245,18 @@ def check_gap_decrease(problem, records, reference, rho, gamma,
         - gamma_eff ||x^{r+1} - x^r||^2
 
     with alpha the stepsize that produced y^r. With alpha = 0 these
-    reduce to the plain descent statement. Gaps must have been filled by
-    compute_gaps first: a pair is skipped when either record's delta_p
-    or delta_d is still NaN (a solved auto-alpha record already carries
-    xbar and d_y, but no gaps) or when the later record has no xbar (gaps
-    read back from a trace CSV without one).
+    reduce to the plain descent statement. Records must be consecutive,
+    and their gaps filled by compute_gaps first: a pair is skipped when
+    either record's delta_p or delta_d is still NaN (a solved auto-alpha
+    record already carries xbar and d_y, but no gaps) or when the later
+    record has no xbar (gaps read back from a trace CSV without one).
     """
     _require_states(records)
     gamma_eff = _gamma_eff(problem, gamma, variant)
     rows = []
     slack_base = 10.0 * reference.tol_ref
     for prev, cur in zip(records, records[1:]):
-        if cur.r != prev.r + 1 or cur.xbar is None or np.isnan(
+        if cur.xbar is None or np.isnan(
                 [prev.delta_p, prev.delta_d, cur.delta_p, cur.delta_d]).any():
             continue
         alpha = prev.alpha
@@ -287,15 +294,14 @@ class RateFit:
     flag: str | None = None
 
 
-def _fit_geometric(pairs, burn_in_fraction=0.4, noise_floor=0.0,
-                   min_points=20):
+def _fit_geometric(pairs, burn_in_fraction=0.4, noise_floor=0.0):
     usable = [(r, v) for r, v in pairs
               if np.isfinite(v) and v > noise_floor]
     tail = usable[int(np.floor(burn_in_fraction * len(usable))):]
-    if len(tail) < min_points:
+    if len(tail) < _MIN_POINTS:
         raise ValueError(
             "insufficient points for a rate fit: %d above the noise "
-            "floor, need %d" % (len(tail), min_points)
+            "floor, need %d" % (len(tail), _MIN_POINTS)
         )
     rs = np.array([r for r, _ in tail], dtype=float)
     logs = np.log(np.array([v for _, v in tail]))
@@ -315,16 +321,16 @@ def _fit_geometric(pairs, burn_in_fraction=0.4, noise_floor=0.0,
 
 
 def estimate_rate(records, burn_in_fraction=0.4, noise_floor=0.0,
-                  min_points=20, values=None):
+                  values=None):
     """Fit the decay rate mu of the combined gap (or of ``values``) on
     the tail of the run; see RateFit. Raises ValueError when fewer than
-    ``min_points`` usable records remain above the noise floor."""
+    20 usable records remain above the noise floor."""
     if values is None:
         pairs = [(rec.r, rec.combined) for rec in records]
     else:
         pairs = [(rec.r, v) for rec, v in zip(records, values)]
     return _fit_geometric(pairs, burn_in_fraction=burn_in_fraction,
-                          noise_floor=noise_floor, min_points=min_points)
+                          noise_floor=noise_floor)
 
 
 @dataclass
@@ -476,15 +482,15 @@ def constructive_sigma(problem, rho):
 
 
 def check_function_value_convergence(problem, records, reference, rho,
-                                     rel_tol=1e-9, burn_in_fraction=0.4,
-                                     min_points=20):
+                                     rel_tol=1e-9):
     """Verify the function-value identity on each record,
 
         f(x^{r+1}) - d* = dp^r - dd^r - <y^r, q - E x^{r+1}>
                           - (rho/2) ||E x^{r+1} - q||^2 ,
 
-    and fit the geometric decay of |f(x^{r+1}) - d*| on the tail.
-    Returns (rows, fit); fit is None when too few points remain."""
+    and fit the geometric decay of |f(x^{r+1}) - d*| on the tail, as
+    estimate_rate does. Returns (rows, fit); fit is None when too few
+    points remain."""
     _require_states(records)
     rows = []
     for rec in records:
@@ -498,9 +504,7 @@ def check_function_value_convergence(problem, records, reference, rho,
                              slack, abs(lhs - rhs) <= slack))
     pairs = [(rec.r, abs(rec.f_val - reference.d_star)) for rec in records]
     try:
-        fit = _fit_geometric(pairs, burn_in_fraction=burn_in_fraction,
-                             noise_floor=100.0 * reference.tol_ref,
-                             min_points=min_points)
+        fit = _fit_geometric(pairs, noise_floor=100.0 * reference.tol_ref)
     except ValueError:
         fit = None
     return rows, fit
@@ -530,10 +534,9 @@ def _combined_monotone_rows(records, tol_ref):
     by at most 10 * tol_ref, the noise of a reference solved to tol_ref."""
     rows = []
     for prev, cur in zip(records, records[1:]):
-        if cur.r == prev.r + 1:
-            diff = cur.combined - prev.combined
-            rows.append(CheckRow(cur.r, "combined_monotone", diff, 0.0,
-                                 10.0 * tol_ref, diff <= 10.0 * tol_ref))
+        diff = cur.combined - prev.combined
+        rows.append(CheckRow(cur.r, "combined_monotone", diff, 0.0,
+                             10.0 * tol_ref, diff <= 10.0 * tol_ref))
     return rows
 
 
@@ -548,18 +551,19 @@ def _sigma_emp(records, step_floor):
 
 def run_diagnostics(problem, records, rho, variant="gauss_seidel",
                     beta=None, tol_ref=1e-10, reference=None,
-                    lipschitz_pairs=20, error_bound_samples=10,
-                    step_floor=None, seed=0):
+                    lipschitz_pairs=20, error_bound_samples=10, seed=0):
     """Full diagnosis of a recorded run: fills gaps, checks every
     inequality, and assembles the report.
 
-    Returns (report, rows, records). Records must carry iterate states.
+    The reference (solved to ``tol_ref`` when not given) sets the
+    accuracy of every slack and noise floor. Returns (report, rows,
+    records). Records must carry iterate states and be consecutive.
     """
     _require_states(records)
     if reference is None:
         reference = reference_solution(problem, rho, tol_ref=tol_ref)
-    if step_floor is None:
-        step_floor = 100.0 * tol_ref
+    tol_ref = reference.tol_ref
+    step_floor = 100.0 * tol_ref
     warnings = []
     records, rows = compute_gaps(problem, records, reference, rho)
     gamma = gamma_value(problem, rho, variant=variant, beta=beta)

@@ -36,6 +36,9 @@ discarded, i.e. the run restarts from the last monotone iterate. If a
 block solve of the primal pass or one of the monitor's inner solves
 hits its cap, the run ends with termination "inner_cap", keeping its
 records and the last accepted iterate.
+
+``run`` records every iteration, consecutively whatever the termination:
+an iteration that diverges or hits a cap ends the run before its record.
 """
 
 from __future__ import annotations
@@ -88,12 +91,9 @@ class SolverConfig:
     beta : proximal-variant stepsize parameter; must exceed the curvature
         bound nu. None selects 1.01 * nu.
     tol_outer : outer stopping tolerance on max(prox-gradient norm,
-        feasibility residual).
-    tol_block : tolerance for exact block subproblem solves; None selects
+        feasibility residual). Exact block solves run to
         min(1e-10, tol_outer / 100).
     max_iters : cap on outer iterations.
-    trace_every : record every this-many iterations.
-    seed : recorded with the run for reproducibility bookkeeping.
     """
 
     variant: str = "gauss_seidel"
@@ -101,10 +101,7 @@ class SolverConfig:
     alpha: object = "auto"
     beta: float | None = None
     tol_outer: float = 1e-8
-    tol_block: float | None = None
     max_iters: int = 1000
-    trace_every: int = 1
-    seed: int = 0
 
 
 @dataclass
@@ -217,15 +214,21 @@ def step_gauss_seidel(problem, x, y, rho, alpha, tol_block=1e-12):
     return _step(problem, "gauss_seidel", x, y, rho, alpha, tol_block)[:2]
 
 
-def step_proximal(problem, x, y, rho, alpha, beta):
-    """One full iteration: linearized sweep with step 1/beta, then dual
-    ascent. beta must exceed the curvature bound nu."""
+def _check_beta(problem, rho, beta):
+    """beta, checked to exceed the curvature bound nu."""
     nu = nu_constant(problem, rho)
     if beta <= nu:
         raise ValueError(
             "proximal stepsize parameter beta=%g must exceed the "
             "curvature bound nu=%g" % (beta, nu)
         )
+    return beta
+
+
+def step_proximal(problem, x, y, rho, alpha, beta):
+    """One full iteration: linearized sweep with step 1/beta, then dual
+    ascent. beta must exceed the curvature bound nu."""
+    _check_beta(problem, rho, beta)
     return _step(problem, "proximal", x, y, rho, alpha, beta=beta)[:2]
 
 
@@ -253,8 +256,6 @@ def _resolve(problem, config):
         raise ValueError("tol_outer must be positive")
     if config.max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if config.trace_every < 1:
-        raise ValueError("trace_every must be at least 1")
     auto = isinstance(config.alpha, str)
     if auto:
         if config.alpha != "auto":
@@ -264,22 +265,15 @@ def _resolve(problem, config):
         alpha = float(config.alpha)
         if alpha < 0:
             raise ValueError("alpha must be nonnegative, got %g" % alpha)
-    tol_block = config.tol_block
-    if tol_block is None:
-        tol_block = min(1e-10, config.tol_outer / 100.0)
+    tol_block = min(1e-10, config.tol_outer / 100.0)
     beta = None
     if config.variant == "proximal":
-        nu = nu_constant(problem, config.rho)
-        if config.beta is None or config.beta == "auto":
+        beta = config.beta
+        if beta is None or beta == "auto":
             beta = default_beta(problem, config.rho)
-        elif isinstance(config.beta, str):
+        elif isinstance(beta, str):
             raise ValueError("beta must be a positive float or 'auto'")
-        else:
-            beta = float(config.beta)
-        if beta <= nu:
-            raise ValueError(
-                "beta=%g must exceed the curvature bound nu=%g" % (beta, nu)
-            )
+        beta = _check_beta(problem, config.rho, float(beta))
     return auto, alpha, tol_block, beta
 
 
@@ -437,22 +431,21 @@ def run(problem, config=None, init=None, **overrides):
                 warnings.append("iterates became non-finite at iteration %d; "
                                 "the result holds the last finite one" % r)
                 break
-            if r % config.trace_every == 0:
-                records.append(TraceRecord(
-                    r=r,
-                    L_val=L_val,
-                    feas=feas,
-                    step=float(np.linalg.norm(x_next - x)),
-                    pg=pg_norm,
-                    d_y=record_d,
-                    f_val=f_val,
-                    alpha=used_alpha,
-                    x=x.copy(),
-                    y=y.copy(),
-                    x_next=x_next.copy(),
-                    w=None if w is None else w.copy(),
-                    xbar=record_xbar,
-                ))
+            records.append(TraceRecord(
+                r=r,
+                L_val=L_val,
+                feas=feas,
+                step=float(np.linalg.norm(x_next - x)),
+                pg=pg_norm,
+                d_y=record_d,
+                f_val=f_val,
+                alpha=used_alpha,
+                x=x.copy(),
+                y=y.copy(),
+                x_next=x_next.copy(),
+                w=None if w is None else w.copy(),
+                xbar=record_xbar,
+            ))
             x, y, res = x_next, y_next, res_next
             r += 1
         if termination == "max_iters" and non_monotone:

@@ -98,7 +98,8 @@ def write_trace_csv(records, path):
 
 
 def read_trace_csv(path):
-    """Read a trace CSV back into records (scalar fields only)."""
+    """Read a trace CSV, one row per iteration, back into records (scalar
+    fields only); a row whose r skips raises ValueError."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -115,8 +116,12 @@ def read_trace_csv(path):
                 raise ValueError("trace row %r has %d fields, expected %d"
                                  % (row, len(row), len(CSV_COLUMNS)))
             fields = dict(zip(CSV_COLUMNS, row))
+            r = int(fields["r"])
+            if records and r != records[-1].r + 1:
+                raise ValueError("trace row r=%d follows r=%d"
+                                 % (r, records[-1].r))
             records.append(TraceRecord(
-                int(fields["r"]), **{c: float(fields[c]) for c in _FLOATS}))
+                r, **{c: float(fields[c]) for c in _FLOATS}))
     return records
 
 

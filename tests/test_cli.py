@@ -408,6 +408,41 @@ def test_diagnose_requires_states_sidecar(tmp_path, capsys):
     assert "iterate states" in capsys.readouterr().err
 
 
+def _solve_kblock_trace(tmp_path):
+    """A fixed-alpha Gauss-Seidel solve with its trace; (problem, trace)."""
+    prob = _gen_kblock(tmp_path)
+    trace = tmp_path / "t.csv"
+    main(["solve", "--problem", str(prob), "--alpha", "0.1",
+          "--max-iters", "10", "--trace", str(trace),
+          "--report", str(tmp_path / "r.json")])
+    return prob, trace
+
+
+def test_diagnose_rejects_a_trace_with_a_missing_row(tmp_path, capsys):
+    prob, trace = _solve_kblock_trace(tmp_path)
+    lines = trace.read_text().splitlines(keepends=True)
+    assert lines[4].startswith("3,")
+    trace.write_text("".join(lines[:4] + lines[5:]))
+    with pytest.raises(SystemExit) as info:
+        main(["diagnose", "--problem", str(prob), "--trace", str(trace)])
+    assert info.value.code == 1
+    assert "trace row r=4 follows r=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["rho", "variant"])
+def test_diagnose_requires_the_solve_settings(tmp_path, capsys, key):
+    # diagnosing at a guessed rho or variant checks the wrong inequalities
+    prob, trace = _solve_kblock_trace(tmp_path)
+    sidecar = tmp_path / "t.csv.states.json"
+    doc = json.loads(sidecar.read_text())
+    del doc["meta"][key]
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as info:
+        main(["diagnose", "--problem", str(prob), "--trace", str(trace)])
+    assert info.value.code == 1
+    assert "no %r" % key in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -599,3 +599,27 @@ def test_run_diagnostics_requires_iterate_states():
     p, ref = _kb()
     with pytest.raises(ValueError, match="no iterate states"):
         run_diagnostics(p, [TraceRecord(r=0, L_val=1.0)], 1.0, reference=ref)
+
+
+def test_run_diagnostics_requires_consecutive_records():
+    # every check pairs iteration r with r - 1; a missing record stops
+    # the diagnosis instead of silently dropping its pairs
+    p, ref = _kb()
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha=0.1,
+              tol_outer=1e-13, max_iters=8)
+    del res.records[4]
+    with pytest.raises(ValueError, match="record 5 follows record 3"):
+        run_diagnostics(p, res.records, 1.0, reference=ref)
+
+
+def test_run_diagnostics_takes_its_accuracy_from_the_reference():
+    # a reference solved to 1e-12 sets every slack, whatever tol_ref says
+    p, _ = _strongly_convex()
+    ref = reference_solution(p, rho=1.0, tol_ref=1e-12)
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+              tol_outer=1e-13, max_iters=30)
+    _, rows, _ = run_diagnostics(p, res.records, 1.0, reference=ref,
+                                 lipschitz_pairs=2, error_bound_samples=2)
+    for name in ("combined_monotone", "primal_gap_nonneg"):
+        slacks = {row.slack for row in rows if row.check_name == name}
+        assert slacks == {10.0 * 1e-12}

@@ -6,8 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockadmm.generators import (
+    FAMILIES,
     gen_consensus,
     gen_group_l2,
     gen_l1_kblock,
@@ -421,7 +423,7 @@ def test_run_dual_update_identity_along_traces():
     p = _mixed_problem(seed=22)
     for variant in ("gauss_seidel", "proximal", "jacobi"):
         res = run(p, variant=variant, rho=1.0, alpha=0.05, beta="auto",
-                  tol_outer=1e-8, max_iters=4000, trace_every=1)
+                  tol_outer=1e-8, max_iters=4000)
         assert res.termination == "converged"
         assert len(res.records) >= 3
         worst = _dual_identity_max_rel_err(p, res.records, 1.0)
@@ -431,9 +433,9 @@ def test_run_dual_update_identity_along_traces():
 def test_run_determinism_bitwise():
     p = _mixed_problem(seed=23)
     a = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
-            tol_outer=1e-8, max_iters=4000, seed=0)
+            tol_outer=1e-8, max_iters=4000)
     b = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
-            tol_outer=1e-8, max_iters=4000, seed=0)
+            tol_outer=1e-8, max_iters=4000)
     assert a.iterations == b.iterations
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     assert records_equal(a.records, b.records)
@@ -468,6 +470,56 @@ def test_run_records_match_the_public_steps_bitwise():
                 assert np.array_equal(out[2], rec.w)
             assert np.array_equal(out[0], rec.x_next)
             assert np.array_equal(out[1], y_next)
+
+
+_SMALL_SHAPES = {
+    "l1_kblock": {"m": 4, "K": 3},
+    "group_l2": {"m": 6, "K": 3, "n_k": 2},
+    "lasso": {"n_obs": 8, "n_feat": 5},
+    "consensus": {"K": 3, "rows": 6, "cols": 4},
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(_SMALL_SHAPES)),
+       seed=st.integers(0, 3),
+       variant=st.sampled_from(solvers.VARIANTS),
+       alpha=st.one_of(st.just("auto"), st.floats(0.01, 0.5)),
+       tol_outer=st.sampled_from([1e-8, 1e-2]),
+       max_iters=st.integers(1, 40),
+       fault=st.sampled_from([None, "cap", "overflow"]),
+       fault_at=st.integers(1, 30))
+def test_run_records_every_iteration_as_one_chain(
+        family, seed, variant, alpha, tol_outer, max_iters, fault,
+        fault_at):
+    # The diagnostics pair consecutive records: record i is iteration i,
+    # and each record starts where the one before it ended, whatever the
+    # termination. A fault in the fault_at-th primal pass (the run's own
+    # or the monitor's lookahead) ends the run with "inner_cap" or
+    # "diverged", and neither appends the failed iteration's record.
+    p = FAMILIES[family](seed=seed, **_SMALL_SHAPES[family])
+    calls = []
+    original = solvers._primal_pass
+
+    def faulty(*args):
+        calls.append(None)
+        x_next, w = original(*args)
+        if fault and len(calls) == fault_at:
+            if fault == "cap":
+                raise ConvergenceError("block subproblem hit its cap")
+            x_next = np.full_like(x_next, np.inf)
+        return x_next, w
+
+    with mock.patch.object(solvers, "_primal_pass", faulty):
+        res = run(p, variant=variant, rho=1.0, alpha=alpha,
+                  tol_outer=tol_outer, max_iters=max_iters)
+    assert len(res.records) == res.iterations
+    assert [rec.r for rec in res.records] == list(range(res.iterations))
+    starts = [(rec.x, rec.y) for rec in res.records[1:]] + [(res.x, res.y)]
+    for rec, (x, y) in zip(res.records, starts):
+        assert np.array_equal(x, rec.x_next)
+        assert np.array_equal(
+            y, rec.y - rec.alpha * (p.apply_E(rec.x_next) - p.q))
 
 
 def test_runs_over_several_rho_on_one_problem_match_fresh_builds():
