@@ -9,9 +9,6 @@ per-iteration check failed).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
-import json
 import sys
 
 from .diagnostics import (
@@ -23,7 +20,7 @@ from .diagnostics import (
 )
 from .generators import FAMILIES
 from .lagrangian import ConvergenceError
-from .problem import load_problem, problem_to_doc
+from .problem import load_problem, save_problem
 from .solvers import SolverConfig, _resolve, run
 from .trace import (
     attach_states,
@@ -31,6 +28,8 @@ from .trace import (
     read_trace_csv,
     states_path_for,
     write_checks_csv,
+    write_csv,
+    write_json,
     write_states,
     write_trace_csv,
 )
@@ -129,27 +128,14 @@ def _cmd_gen(args, parser):
         problem = gen(seed=args.seed, **_gen_kwargs(args))
     except (TypeError, ValueError) as e:
         parser.error(str(e))
-    _write_json(problem_to_doc(problem), args.out)
+    save_problem(problem, args.out)
     return 0
-
-
-def _output(path, **kwargs):
-    """path opened for writing, or standard output when path is None."""
-    return (open(path, "w", **kwargs) if path
-            else contextlib.nullcontext(sys.stdout))
-
-
-def _write_json(doc, path):
-    """Write doc as indented JSON plus a newline to path, or to stdout."""
-    with _output(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _load_problem(path, parser):
     try:
         return load_problem(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError) as e:
         parser.error("cannot load problem from %s: %s" % (path, e))
 
 
@@ -197,7 +183,7 @@ def _cmd_solve(args, parser):
             "tol_outer": config.tol_outer,
             "tol_block": result.tol_block,
         })
-    _write_json({
+    write_json({
         "final_alpha": result.final_alpha,
         "iterations": result.iterations,
         "termination": result.termination,
@@ -270,11 +256,8 @@ def _cmd_sweep(args, parser):
                 print("sweep cell variant=%s alpha=%g failed: %s"
                       % (key, alpha, e), file=sys.stderr)
             rows.append(entry)
-    with _output(args.out, newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(_SWEEP_COLUMNS)
-        for entry in rows:
-            writer.writerow([entry[c] for c in _SWEEP_COLUMNS])
+    write_csv(args.out, _SWEEP_COLUMNS,
+              ([entry[c] for c in _SWEEP_COLUMNS] for entry in rows))
     return 0
 
 
@@ -288,11 +271,11 @@ def _cmd_diagnose(args, parser):
     sidecar = states_path_for(args.trace)
     try:
         meta, states = read_states(sidecar)
-    except OSError as e:
+        attach_states(records, states, problem.n, problem.m)
+    except (OSError, ValueError) as e:
         parser.error(
             "cannot read iterate states %s (produced by solve --trace): %s"
             % (sidecar, e))
-    attach_states(records, states)
     if not records:
         parser.error("trace %s holds no records" % args.trace)
     for key in ("rho", "variant"):
@@ -309,7 +292,7 @@ def _cmd_diagnose(args, parser):
         return 2
     if args.checks:
         write_checks_csv(rows, args.checks)
-    _write_json(report.to_doc(), args.report)
+    write_json(report.to_doc(), args.report)
     failed = [row for row in rows if not row.passed]
     if failed:
         print("%d check rows failed (first: %s at r=%d)"

@@ -30,6 +30,7 @@ from .prox import (
     term_from_doc,
     term_to_doc,
 )
+from .trace import write_json
 
 __all__ = [
     "SmoothTerm",
@@ -556,10 +557,8 @@ def problem_from_doc(doc):
 
 
 def save_problem(problem, path):
-    """Write the problem as deterministic, indented JSON."""
-    with open(path, "w") as fh:
-        json.dump(problem_to_doc(problem), fh, indent=2)
-        fh.write("\n")
+    """Write the problem as deterministic, indented JSON to path or stdout."""
+    write_json(problem_to_doc(problem), path)
 
 
 def load_problem(path):

@@ -1,4 +1,5 @@
-"""Per-iteration records, their CSV form, and the iterate-state sidecar.
+"""Per-iteration records, their CSV form, the iterate-state sidecar, and
+the CSV and JSON writers behind every file the command line writes.
 
 One record describes one dual transition r -> r+1: the pre-step state
 (x^r, y^r), the swept iterate x^{r+1}, and the scalars derived from
@@ -22,19 +23,24 @@ The iterate states needed to re-verify descent and gap inequalities
 offline do not fit the scalar CSV, so they are written to a JSON sidecar
 (``<trace>.states.json``) holding x, y, x_next, the per-iteration dual
 stepsize, the Jacobi direction w when applicable, xbar for the records
-that carry one, and the run's solver settings.
+that carry one, and the run's solver settings. Read back, the sidecar is
+taken whole or rejected with ValueError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "write_csv",
+    "write_json",
     "TraceRecord",
     "CSV_COLUMNS",
     "write_trace_csv",
@@ -55,8 +61,31 @@ CSV_COLUMNS = ("r", "L_val", "delta_p", "delta_d", "combined", "feas",
 _FLOATS = tuple(c for c in CSV_COLUMNS if c not in ("r", "combined"))
 # the iterate arrays of a sidecar record, after its r and alpha
 _STATES = ("x", "y", "x_next", "w", "xbar")
+# the arrays every record carries; w and xbar may be absent or null
+_REQUIRED = ("x", "y", "x_next")
 
 _NAN = float("nan")
+
+
+def _output(path, **kwargs):
+    """path opened for writing, or standard output when path is None."""
+    return (open(path, "w", **kwargs) if path
+            else contextlib.nullcontext(sys.stdout))
+
+
+def write_csv(path, columns, rows):
+    """Write a header and rows as CSV to path (None: stdout)."""
+    with _output(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def write_json(doc, path):
+    """Write doc as indented JSON plus a newline to path (None: stdout)."""
+    with _output(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 @dataclass
@@ -90,11 +119,7 @@ class TraceRecord:
 
 def write_trace_csv(records, path):
     """Write records to CSV with the fixed column set."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.csv_row())
+    write_csv(path, CSV_COLUMNS, (rec.csv_row() for rec in records))
 
 
 def read_trace_csv(path):
@@ -144,40 +169,55 @@ def states_path_for(trace_path):
     return str(trace_path) + ".states.json"
 
 
-def _vec(a):
-    return None if a is None else np.asarray(a, dtype=float).tolist()
-
-
 def write_states(records, path, meta=None):
     """Write the iterate-state sidecar for a trace.
 
     The bytes are those of ``json.dump({"meta": ..., "records": [...]})``
     plus a newline, but each record is encoded and written on its own, so
     the whole document is never held in memory. An ``"xbar"`` key follows
-    ``"w"`` only in records that carry an inner minimizer.
+    ``"w"`` only in records that carry an inner minimizer. A record's x
+    is usually the previous record's x_next, whose text is then reused.
     """
     with open(path, "w") as fh:
         fh.write('{"meta": %s, "records": [' % json.dumps(dict(meta or {})))
         sep = ""
+        last = (None, None)  # bytes and text of the last record's x_next
         for rec in records:
-            entry = {"r": rec.r, "alpha": float(rec.alpha)}
-            entry.update((k, _vec(getattr(rec, k))) for k in _STATES
-                         if k != "xbar" or rec.xbar is not None)
-            fh.write(sep)
-            fh.write(json.dumps(entry))
+            fields = {"r": json.dumps(rec.r),
+                      "alpha": json.dumps(float(rec.alpha))}
+            for key in _STATES:
+                vec = getattr(rec, key)
+                if vec is None:
+                    if key != "xbar":
+                        fields[key] = "null"
+                    continue
+                vec = np.asarray(vec, dtype=float)
+                raw = (vec.shape, vec.tobytes())
+                fields[key] = (last[1] if key == "x" and raw == last[0]
+                               else json.dumps(vec.tolist()))
+                if key == "x_next":
+                    last = (raw, fields[key])
+            fh.write(sep + "{%s}" % ", ".join(
+                '"%s": %s' % item for item in fields.items()))
             sep = ", "
         fh.write("]}\n")
 
 
 def _state_from_entry(entry):
     """A decoded JSON object; sidecar records (the objects with an
-    ``"x_next"`` key) become state dicts of arrays."""
+    ``"x_next"`` key) become state dicts of float arrays."""
     if "x_next" not in entry:
         return entry
-    state = {"r": int(entry["r"]), "alpha": float(entry["alpha"])}
-    for key in _STATES:
-        vec = entry.get(key)
-        state[key] = None if vec is None else np.asarray(vec)
+    try:
+        state = {"r": int(entry["r"]), "alpha": float(entry["alpha"])}
+        for key in _STATES:
+            vec = entry[key] if key in _REQUIRED else entry.get(key)
+            state[key] = None if vec is None else np.asarray(vec, float)
+    except KeyError as e:
+        raise ValueError("record r=%s has no %s"
+                         % (entry.get("r"), e)) from None
+    except (TypeError, ValueError) as e:
+        raise ValueError("record r=%s: %s" % (entry.get("r"), e)) from None
     return state
 
 
@@ -185,22 +225,46 @@ def read_states(path):
     """Read a sidecar; returns (meta, list of per-record state dicts).
 
     Each record becomes arrays as soon as it is decoded, so the float
-    lists of only one record are alive at a time."""
+    lists of only one record are alive at a time. A document that is not
+    an object with ``meta`` and ``records``, or a record without r,
+    alpha, x, y or x_next, raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh, object_hook=_state_from_entry)
-    return doc.get("meta", {}), doc["records"]
+    if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
+            and isinstance(doc.get("records"), list)):
+        raise ValueError("not an object with 'meta' and 'records'")
+    for state in doc["records"]:
+        if not isinstance(state, dict):
+            raise ValueError("record %r is not an object" % (state,))
+        if "x_next" not in state:
+            raise ValueError("record r=%s has no 'x_next'" % state.get("r"))
+    return doc["meta"], doc["records"]
 
 
-def attach_states(records, states):
-    """Merge sidecar states into records by iteration index, in place."""
-    by_r = {s["r"]: s for s in states}
-    for rec in records:
-        s = by_r.get(rec.r)
-        if s is None:
-            continue
+def attach_states(records, states, n=None, m=None):
+    """Merge sidecar states into records, in place.
+
+    The two must list the same r in the same order; otherwise ValueError
+    names the first r that only one of them holds. Given the problem's
+    sizes, y must have length m and the other iterates length n."""
+    trace_rs = [rec.r for rec in records]
+    state_rs = [s["r"] for s in states]
+    if trace_rs != state_rs:
+        lone = ([(r, "trace") for r in set(trace_rs) - set(state_rs)]
+                + [(r, "sidecar") for r in set(state_rs) - set(trace_rs)])
+        if not lone:
+            raise ValueError("the sidecar's records are out of order")
+        r, where = min(lone)
+        raise ValueError("record r=%d is only in the %s" % (r, where))
+    for rec, s in zip(records, states):
         rec.alpha = s["alpha"]
         for key in _STATES:
-            setattr(rec, key, s[key])
+            vec, want = s[key], (m if key == "y" else n,)
+            if (n is not None and (vec is not None or key in _REQUIRED)
+                    and np.shape(vec) != want):
+                raise ValueError("record r=%d: %s has shape %s, expected %s"
+                                 % (rec.r, key, np.shape(vec), want))
+            setattr(rec, key, vec)
     return records
 
 
@@ -218,17 +282,11 @@ class CheckRow:
     slack: float
     passed: bool
 
+    def csv_row(self):
+        return ([str(self.r), self.check_name]
+                + [repr(float(v)) for v in (self.lhs, self.rhs, self.slack)]
+                + ["true" if self.passed else "false"])
+
 
 def write_checks_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CHECK_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                str(row.r),
-                row.check_name,
-                repr(float(row.lhs)),
-                repr(float(row.rhs)),
-                repr(float(row.slack)),
-                "true" if row.passed else "false",
-            ])
+    write_csv(path, CHECK_COLUMNS, (row.csv_row() for row in rows))

@@ -429,6 +429,54 @@ def test_diagnose_rejects_a_trace_with_a_missing_row(tmp_path, capsys):
     assert "trace row r=4 follows r=2" in capsys.readouterr().err
 
 
+def _edit_records(edit):
+    """A sidecar edit that applies edit to the decoded record list."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc["records"])
+        return json.dumps(doc)
+    return apply
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda text: text[:-10], "Expecting"),
+    (lambda text: "[1, 2]", "'meta' and 'records'"),
+    (_edit_records(lambda recs: recs[3].pop("alpha")),
+     "record r=3 has no 'alpha'"),
+    (_edit_records(lambda recs: recs.pop(3)),
+     "record r=3 is only in the trace"),
+    (_edit_records(lambda recs: recs.append(dict(recs[-1], r=99))),
+     "record r=99 is only in the sidecar"),
+    (_edit_records(lambda recs: recs[3]["x"].pop()),
+     "record r=3: x has shape (3,), expected (4,)"),
+], ids=["malformed", "not_an_object", "no_alpha", "missing_record",
+        "extra_record", "short_x"])
+def test_diagnose_rejects_a_defective_sidecar(tmp_path, capsys, edit, named):
+    # a sidecar that does not match its trace and problem is an input
+    # error (exit 1), never a traceback or a solver failure (exit 2)
+    prob, trace = _solve_kblock_trace(tmp_path)
+    sidecar = tmp_path / "t.csv.states.json"
+    sidecar.write_text(edit(sidecar.read_text()))
+    with pytest.raises(SystemExit) as info:
+        main(["diagnose", "--problem", str(prob), "--trace", str(trace)])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert str(sidecar) in err
+    assert named in err
+
+
+def test_diagnose_rejects_a_trace_without_records(tmp_path, capsys):
+    prob = _gen_kblock(tmp_path)
+    trace = tmp_path / "t.csv"
+    write_trace_csv([], str(trace))
+    write_states([], states_path_for(str(trace)),
+                 meta={"rho": 1.0, "variant": "gauss_seidel"})
+    with pytest.raises(SystemExit) as info:
+        main(["diagnose", "--problem", str(prob), "--trace", str(trace)])
+    assert info.value.code == 1
+    assert "holds no records" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["rho", "variant"])
 def test_diagnose_requires_the_solve_settings(tmp_path, capsys, key):
     # diagnosing at a guessed rho or variant checks the wrong inequalities
@@ -477,6 +525,30 @@ def test_sweep_orders_rows_by_grid_index(tmp_path):
         rows = list(csv.reader(fh))[1:]
     assert [(row[0], float(row[1])) for row in rows] == [
         ("gs", 0.1), ("gs", 1.0), ("jacobi", 0.1), ("jacobi", 1.0)]
+
+
+def test_sweep_rate_fit_matches_the_diagnosis(tmp_path):
+    # long enough runs for the rate fit to succeed: each cell reports what
+    # run_diagnostics reports on the same run
+    prob = _gen_kblock(tmp_path)
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--problem", str(prob), "--alpha-grid", "0.05,0.1",
+               "--variants", "gs,jacobi", "--max-iters", "300",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    p = problem_from_doc(json.loads(prob.read_text()))
+    for row in rows:
+        variant = {"gs": "gauss_seidel", "jacobi": "jacobi"}[row["variant"]]
+        res = run(p, variant=variant, rho=1.0, alpha=float(row["alpha"]),
+                  tol_outer=1e-8, max_iters=300)
+        report, _, _ = run_diagnostics(p, res.records, 1.0, variant=variant)
+        assert row["rate_mu"] == repr(report.rate_mu) != "nan"
+        assert row["rate_r2"] == repr(report.fit_r2)
+        assert row["monotone_combined"] == (
+            "true" if report.monotone_combined else "false")
 
 
 def test_sweep_rejects_bad_grid_and_variant(tmp_path, capsys):

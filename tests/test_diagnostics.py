@@ -595,6 +595,26 @@ def test_run_diagnostics_report_on_group_instance():
     assert len(recs) == len(res.records)
 
 
+def test_run_diagnostics_warns_when_the_gap_does_not_decrease():
+    # alpha = 0 never moves y, so the dual gap, and with it the combined
+    # gap, stays put
+    p, _ = _kb()
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha=0.0,
+              tol_outer=1e-8, max_iters=40)
+    report, _, _ = run_diagnostics(p, res.records, 1.0)
+    assert "rate fit: no decrease" in report.warnings
+
+
+def test_run_diagnostics_warns_when_the_stepsize_bound_degenerates():
+    p = gen_lasso(n_obs=4, n_feat=8)
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha=0.1,
+              tol_outer=1e-8, max_iters=50)
+    report, _, _ = run_diagnostics(p, res.records, 1.0)
+    assert report.alpha_bound_estimate == float("inf")
+    assert any(w.startswith("stepsize bound not estimable")
+               for w in report.warnings)
+
+
 def test_run_diagnostics_requires_iterate_states():
     p, ref = _kb()
     with pytest.raises(ValueError, match="no iterate states"):

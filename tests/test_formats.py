@@ -2,8 +2,9 @@
 
 Round trips pass even when a document's shape drifts (a float in a group
 list still loads, a reordered key still reads back), so these tests pin
-the exact text of a trace CSV and a states sidecar, the JSON form of
-every term kind, and the key order of the reports.
+the exact text of every file the command line writes (trace CSV, states
+sidecar, checks CSV, sweep CSV and indented JSON), the JSON form of every
+term kind, and the key order of the reports.
 """
 
 import json
@@ -11,8 +12,14 @@ import json
 import numpy as np
 import pytest
 
+from blockadmm.cli import main
 from blockadmm.diagnostics import DiagnosticsReport
-from blockadmm.problem import AssumptionReport
+from blockadmm.problem import (
+    AssumptionReport,
+    Block,
+    build_problem,
+    save_problem,
+)
 from blockadmm.prox import (
     BoxIndicator,
     GroupL2,
@@ -25,11 +32,13 @@ from blockadmm.prox import (
     term_to_doc,
 )
 from blockadmm.trace import (
+    CheckRow,
     TraceRecord,
     attach_states,
     read_states,
     read_trace_csv,
     records_equal,
+    write_checks_csv,
     write_states,
     write_trace_csv,
 )
@@ -100,6 +109,112 @@ def test_states_sidecar_text_is_pinned(tmp_path):
                 assert getattr(got, name) is None
             else:
                 assert np.array_equal(getattr(got, name), want)
+
+
+@pytest.mark.parametrize("key, size", [
+    ("x", 3), ("y", 2), ("x_next", 1), ("w", 3), ("xbar", 1)])
+def test_attached_states_must_have_the_problems_sizes(tmp_path, key, size):
+    path = tmp_path / "t.csv.states.json"
+    write_states(_records(), str(path))
+    _, states = read_states(str(path))
+    states[1][key] = np.zeros(size)
+    with pytest.raises(ValueError, match=r"record r=1: %s has shape \(%d,\)"
+                       % (key, size)):
+        attach_states([TraceRecord(r=0), TraceRecord(r=1)], states, n=2, m=1)
+
+
+def test_attached_states_must_follow_the_trace(tmp_path):
+    path = tmp_path / "t.csv.states.json"
+    write_states(_records(), str(path))
+    _, states = read_states(str(path))
+    with pytest.raises(ValueError, match="out of order"):
+        attach_states([TraceRecord(r=0), TraceRecord(r=1)], states[::-1])
+
+
+_CHECKS_CSV = (
+    "r,check_name,lhs,rhs,slack,pass\r\n"
+    "0,descent,1.5,0.25,1e-08,true\r\n"
+    "-1,dual_lipschitz,nan,2.0,0.0,false\r\n"
+)
+
+
+def test_checks_csv_text_is_pinned(tmp_path):
+    # NumPy scalars are written as plain floats, not as np.float64(...)
+    path = tmp_path / "checks.csv"
+    write_checks_csv([
+        CheckRow(0, "descent", np.float64(1.5), 0.25, 1e-8, np.True_),
+        CheckRow(-1, "dual_lipschitz", _NAN, np.float64(2.0), 0.0, False),
+    ], str(path))
+    assert path.read_bytes().decode() == _CHECKS_CSV
+
+
+def _unit_problem(tmp_path):
+    """min 0 s.t. x = 1: one Gauss-Seidel step solves it exactly."""
+    path = tmp_path / "p.json"
+    save_problem(build_problem([Block(E=[[1.0]])], q=[1.0]), str(path))
+    return path
+
+
+_UNIT_PROBLEM_JSON = """{
+  "q": [
+    1.0
+  ],
+  "blocks": [
+    {
+      "E": [
+        [
+          1.0
+        ]
+      ],
+      "A": null,
+      "smooth": null,
+      "nonsmooth": {
+        "type": "zero"
+      },
+      "box": null
+    }
+  ]
+}
+"""
+
+_UNIT_RESULT_JSON = """{
+  "final_alpha": 0.5,
+  "iterations": 1,
+  "termination": "converged",
+  "objective": 0.0,
+  "feas": 0.0
+}
+"""
+
+
+def test_indented_json_text_is_pinned(tmp_path, capsys):
+    prob = _unit_problem(tmp_path)
+    assert prob.read_text() == _UNIT_PROBLEM_JSON
+    report = tmp_path / "r.json"
+    solve = ["solve", "--problem", str(prob), "--alpha", "0.5"]
+    assert main(solve + ["--report", str(report)]) == 0
+    assert main(solve) == 0
+    assert capsys.readouterr().out == report.read_text() == _UNIT_RESULT_JSON
+
+
+_UNIT_SWEEP_CSV = (
+    "variant,alpha,rho,termination,iterations,objective,feas,"
+    "monotone_combined,rate_mu,rate_r2\r\n"
+    "gs,0.5,1.0,converged,1,0.0,0.0,true,nan,nan\r\n"
+    "gs,-1.0,1.0,error,,,,,,\r\n"
+)
+
+
+def test_sweep_csv_text_is_pinned(tmp_path, capsys):
+    # a converged cell and a failed one, whose fields stay empty
+    prob = _unit_problem(tmp_path)
+    out = tmp_path / "s.csv"
+    sweep = ["sweep", "--problem", str(prob), "--alpha-grid", "0.5,-1"]
+    assert main(sweep + ["--out", str(out)]) == 0
+    assert out.read_bytes().decode() == _UNIT_SWEEP_CSV
+    capsys.readouterr()
+    assert main(sweep) == 0
+    assert capsys.readouterr().out == _UNIT_SWEEP_CSV
 
 
 def test_records_equal_compares_every_csv_scalar():
