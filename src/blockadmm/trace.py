@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -169,36 +170,27 @@ def states_path_for(trace_path):
     return str(trace_path) + ".states.json"
 
 
+def _vec(a):
+    return None if a is None else np.asarray(a, dtype=float).tolist()
+
+
 def write_states(records, path, meta=None):
     """Write the iterate-state sidecar for a trace.
 
     The bytes are those of ``json.dump({"meta": ..., "records": [...]})``
     plus a newline, but each record is encoded and written on its own, so
     the whole document is never held in memory. An ``"xbar"`` key follows
-    ``"w"`` only in records that carry an inner minimizer. A record's x
-    is usually the previous record's x_next, whose text is then reused.
+    ``"w"`` only in records that carry an inner minimizer.
     """
     with open(path, "w") as fh:
         fh.write('{"meta": %s, "records": [' % json.dumps(dict(meta or {})))
         sep = ""
-        last = (None, None)  # bytes and text of the last record's x_next
         for rec in records:
-            fields = {"r": json.dumps(rec.r),
-                      "alpha": json.dumps(float(rec.alpha))}
-            for key in _STATES:
-                vec = getattr(rec, key)
-                if vec is None:
-                    if key != "xbar":
-                        fields[key] = "null"
-                    continue
-                vec = np.asarray(vec, dtype=float)
-                raw = (vec.shape, vec.tobytes())
-                fields[key] = (last[1] if key == "x" and raw == last[0]
-                               else json.dumps(vec.tolist()))
-                if key == "x_next":
-                    last = (raw, fields[key])
-            fh.write(sep + "{%s}" % ", ".join(
-                '"%s": %s' % item for item in fields.items()))
+            entry = {"r": rec.r, "alpha": float(rec.alpha)}
+            entry.update((k, _vec(getattr(rec, k))) for k in _STATES
+                         if k != "xbar" or rec.xbar is not None)
+            fh.write(sep)
+            fh.write(json.dumps(entry))
             sep = ", "
         fh.write("]}\n")
 
@@ -212,7 +204,12 @@ def _state_from_entry(entry):
         state = {"r": int(entry["r"]), "alpha": float(entry["alpha"])}
         for key in _STATES:
             vec = entry[key] if key in _REQUIRED else entry.get(key)
-            state[key] = None if vec is None else np.asarray(vec, float)
+            if vec is not None:
+                vec = np.asarray(vec)
+                if vec.dtype.kind not in "fiu":  # a null makes an object
+                    raise ValueError("%s is not a list of numbers" % key)
+                vec = vec.astype(float, copy=False)
+            state[key] = vec
     except KeyError as e:
         raise ValueError("record r=%s has no %s"
                          % (entry.get("r"), e)) from None
@@ -227,7 +224,8 @@ def read_states(path):
     Each record becomes arrays as soon as it is decoded, so the float
     lists of only one record are alive at a time. A document that is not
     an object with ``meta`` and ``records``, or a record without r,
-    alpha, x, y or x_next, raises ValueError."""
+    alpha, x, y or x_next or with an array of non-numbers, raises
+    ValueError."""
     with open(path) as fh:
         doc = json.load(fh, object_hook=_state_from_entry)
     if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
@@ -241,26 +239,27 @@ def read_states(path):
     return doc["meta"], doc["records"]
 
 
-def attach_states(records, states, n=None, m=None):
+def _r_or_none(r):
+    return "no record" if r is None else "r=%d" % r
+
+
+def attach_states(records, states, n, m):
     """Merge sidecar states into records, in place.
 
     The two must list the same r in the same order; otherwise ValueError
-    names the first r that only one of them holds. Given the problem's
-    sizes, y must have length m and the other iterates length n."""
-    trace_rs = [rec.r for rec in records]
-    state_rs = [s["r"] for s in states]
-    if trace_rs != state_rs:
-        lone = ([(r, "trace") for r in set(trace_rs) - set(state_rs)]
-                + [(r, "sidecar") for r in set(state_rs) - set(trace_rs)])
-        if not lone:
-            raise ValueError("the sidecar's records are out of order")
-        r, where = min(lone)
-        raise ValueError("record r=%d is only in the %s" % (r, where))
+    names the first entry where they differ. y must have length m and
+    the other iterates length n."""
+    pairs = itertools.zip_longest([rec.r for rec in records],
+                                  [s["r"] for s in states])
+    for i, (trace_r, state_r) in enumerate(pairs):
+        if trace_r != state_r:
+            raise ValueError("entry %d: the trace has %s, the sidecar has %s"
+                             % (i, _r_or_none(trace_r), _r_or_none(state_r)))
     for rec, s in zip(records, states):
         rec.alpha = s["alpha"]
         for key in _STATES:
             vec, want = s[key], (m if key == "y" else n,)
-            if (n is not None and (vec is not None or key in _REQUIRED)
+            if ((vec is not None or key in _REQUIRED)
                     and np.shape(vec) != want):
                 raise ValueError("record r=%d: %s has shape %s, expected %s"
                                  % (rec.r, key, np.shape(vec), want))

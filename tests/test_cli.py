@@ -290,7 +290,7 @@ def test_states_sidecar_round_trip(tmp_path):
     meta, states = read_states(states_path_for(str(trace)))
     assert meta == {"rho": 1.0, "variant": "jacobi"}
     fresh = read_trace_csv(str(trace))
-    attach_states(fresh, states)
+    attach_states(fresh, states, p.n, p.m)
     for orig, got in zip(res.records, fresh):
         assert np.array_equal(orig.x, got.x)
         assert np.array_equal(orig.y, got.y)
@@ -444,13 +444,15 @@ def _edit_records(edit):
     (_edit_records(lambda recs: recs[3].pop("alpha")),
      "record r=3 has no 'alpha'"),
     (_edit_records(lambda recs: recs.pop(3)),
-     "record r=3 is only in the trace"),
+     "entry 3: the trace has r=3, the sidecar has r=4"),
     (_edit_records(lambda recs: recs.append(dict(recs[-1], r=99))),
-     "record r=99 is only in the sidecar"),
+     "entry 10: the trace has no record, the sidecar has r=99"),
     (_edit_records(lambda recs: recs[3]["x"].pop()),
      "record r=3: x has shape (3,), expected (4,)"),
+    (_edit_records(lambda recs: recs[3]["x"].__setitem__(1, None)),
+     "record r=3: x is not a list of numbers"),
 ], ids=["malformed", "not_an_object", "no_alpha", "missing_record",
-        "extra_record", "short_x"])
+        "extra_record", "short_x", "null_in_x"])
 def test_diagnose_rejects_a_defective_sidecar(tmp_path, capsys, edit, named):
     # a sidecar that does not match its trace and problem is an input
     # error (exit 1), never a traceback or a solver failure (exit 2)

@@ -100,7 +100,8 @@ def test_states_sidecar_text_is_pinned(tmp_path):
     assert path.read_text() == _STATES_JSON
     meta, states = read_states(str(path))
     assert meta == {"rho": 0.5, "variant": "jacobi", "beta": None}
-    back = attach_states([TraceRecord(r=0), TraceRecord(r=1)], states)
+    back = attach_states([TraceRecord(r=0), TraceRecord(r=1)], states,
+                         2, 1)
     for orig, got in zip(_records(), back):
         assert got.alpha == orig.alpha
         for name in ("x", "y", "x_next", "w", "xbar"):
@@ -120,15 +121,21 @@ def test_attached_states_must_have_the_problems_sizes(tmp_path, key, size):
     states[1][key] = np.zeros(size)
     with pytest.raises(ValueError, match=r"record r=1: %s has shape \(%d,\)"
                        % (key, size)):
-        attach_states([TraceRecord(r=0), TraceRecord(r=1)], states, n=2, m=1)
+        attach_states([TraceRecord(r=0), TraceRecord(r=1)], states, 2, 1)
 
 
-def test_attached_states_must_follow_the_trace(tmp_path):
+@pytest.mark.parametrize("order, named", [
+    ([1, 0], "entry 0: the trace has r=0, the sidecar has r=1"),
+    ([0, 0], "entry 1: the trace has r=1, the sidecar has r=0"),
+    ([0, 1, 1], "entry 2: the trace has no record, the sidecar has r=1"),
+], ids=["swapped", "duplicated", "repeated_last"])
+def test_attached_states_must_follow_the_trace(tmp_path, order, named):
     path = tmp_path / "t.csv.states.json"
     write_states(_records(), str(path))
     _, states = read_states(str(path))
-    with pytest.raises(ValueError, match="out of order"):
-        attach_states([TraceRecord(r=0), TraceRecord(r=1)], states[::-1])
+    with pytest.raises(ValueError, match=named):
+        attach_states([TraceRecord(r=0), TraceRecord(r=1)],
+                      [states[i] for i in order], 2, 1)
 
 
 _CHECKS_CSV = (
