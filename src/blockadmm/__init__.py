@@ -22,11 +22,8 @@ from .lagrangian import (
     ConvergenceError,
     InnerSolveResult,
     augmented_lagrangian,
-    dual_gradient,
-    dual_value,
     minimize_lagrangian,
     proximal_gradient,
-    smooth_gradient,
 )
 from .problem import (
     AssumptionReport,
@@ -52,9 +49,7 @@ from .prox import (
     SparseGroup,
     Sum,
     Zero,
-    moreau_value,
     prox,
-    prox_sparse_group,
 )
 from .solvers import (
     RunResult,
@@ -63,10 +58,7 @@ from .solvers import (
     nu_constant,
     run,
     solve_block,
-    step_gauss_seidel,
-    step_jacobi,
-    step_jacobi_unsafe,
-    step_proximal,
+    step,
 )
 from .trace import TraceRecord, read_trace_csv, records_equal, write_trace_csv
 

@@ -217,6 +217,12 @@ def _cmd_sweep(args, parser):
         if key not in VARIANT_NAMES:
             parser.error("unknown variant %r" % key)
     try:
+        # the settings every cell shares; each cell's alpha is its own
+        _resolve(problem, SolverConfig(rho=args.rho, tol_outer=args.tol,
+                                       max_iters=args.max_iters))
+    except ValueError as e:
+        parser.error(str(e))
+    try:
         reference = reference_solution(problem, args.rho,
                                        tol_ref=args.tol_ref)
     except (ValueError, RuntimeError) as e:
@@ -283,9 +289,16 @@ def _cmd_diagnose(args, parser):
             parser.error("iterate states %s hold no %r in their meta; "
                          "solve --trace writes it" % (sidecar, key))
     try:
+        beta = _resolve(problem, SolverConfig(
+            variant=meta["variant"], rho=meta["rho"],
+            beta=meta.get("beta")))[3]
+    except ValueError as e:
+        parser.error("iterate states %s hold a bad setting in their meta: "
+                     "%s" % (sidecar, e))
+    try:
         report, rows, _ = run_diagnostics(
             problem, records, float(meta["rho"]), variant=meta["variant"],
-            beta=meta.get("beta"), tol_ref=args.tol_ref, seed=args.seed,
+            beta=beta, tol_ref=args.tol_ref, seed=args.seed,
         )
     except (ValueError, RuntimeError) as e:
         print("diagnosis failed: %s" % e, file=sys.stderr)

@@ -42,7 +42,7 @@ from .lagrangian import (
     proximal_gradient,
 )
 from .problem import objective
-from .solvers import nu_constant
+from .solvers import _check_variant, nu_constant
 from .trace import CheckRow
 
 __all__ = [
@@ -180,7 +180,9 @@ def compute_gaps(problem, records, reference, rho):
 
 
 def gamma_value(problem, rho, variant="gauss_seidel", beta=None):
-    """Descent constant of the variant's primal pass."""
+    """Descent constant of the variant's primal pass, one of
+    ``solvers.VARIANTS``."""
+    _check_variant(variant)
     if variant == "proximal":
         if beta is None:
             raise ValueError("the proximal descent constant needs beta")
@@ -560,13 +562,13 @@ def run_diagnostics(problem, records, rho, variant="gauss_seidel",
     records). Records must carry iterate states and be consecutive.
     """
     _require_states(records)
+    gamma = gamma_value(problem, rho, variant=variant, beta=beta)
     if reference is None:
         reference = reference_solution(problem, rho, tol_ref=tol_ref)
     tol_ref = reference.tol_ref
     step_floor = 100.0 * tol_ref
     warnings = []
     records, rows = compute_gaps(problem, records, reference, rho)
-    gamma = gamma_value(problem, rho, variant=variant, beta=beta)
     descent_rows, gamma_observed = check_descent_lemma(
         problem, records, rho, gamma, variant=variant,
         step_floor=step_floor)

@@ -53,12 +53,9 @@ __all__ = [
     "ConvergenceError",
     "InnerSolveResult",
     "augmented_lagrangian",
-    "smooth_gradient",
     "proximal_gradient",
     "minimize_lagrangian",
     "solve_block",
-    "dual_value",
-    "dual_gradient",
 ]
 
 
@@ -103,20 +100,12 @@ def augmented_lagrangian(problem, x, y, rho):
     return _lagrangian_parts(problem, x, y, rho)[2]
 
 
-def smooth_gradient(problem, x, y, rho):
-    """Gradient of the smooth part of L(.; y): per block,
+def _smooth_gradient(problem, x, y, rho):
+    """Gradient of the smooth part of L(.; y) at a checked x and y: per
+    block,
 
         A_k^T grad g_k(A_k x_k) - E_k^T y + rho * E_k^T (E x - q).
-
-    rho = 0 is allowed here (plain Lagrangian gradient); the augmented
-    value and the dual function still require rho > 0.
     """
-    x, y = _check_xy(problem, x, y, rho)
-    return _smooth_gradient(problem, x, y, rho)
-
-
-def _smooth_gradient(problem, x, y, rho):
-    """``smooth_gradient`` for a checked x, y and rho."""
     w = rho * residual_vector(problem, x) - y
     out = problem.E_mat.T @ w
     for b in problem.blocks:
@@ -387,15 +376,3 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     return _newton_fista(b.form, H, g0, grad_phi, 1.0 / nu,
                          b.form.project_domain(xk0), tol_block, max_iter,
                          "block %d subproblem" % k)[0]
-
-
-def dual_value(problem, y, rho, tol=1e-10, warm_start=None):
-    """d(y) = min_x L(x; y)."""
-    return minimize_lagrangian(problem, y, rho, tol=tol,
-                               warm_start=warm_start).d_value
-
-
-def dual_gradient(problem, y, rho, tol=1e-10, warm_start=None):
-    """grad d(y) = q - E x(y)."""
-    return minimize_lagrangian(problem, y, rho, tol=tol,
-                               warm_start=warm_start).dual_grad

@@ -28,7 +28,6 @@ from .prox import (
     _Separable,
     merge_box,
     term_from_doc,
-    term_to_doc,
 )
 from .trace import write_json
 
@@ -516,7 +515,7 @@ def problem_to_doc(problem):
             "A": None if b.A is None else
                  [[float(v) for v in row] for row in b.A],
             "smooth": None if b.smooth is None else b.smooth.to_doc(),
-            "nonsmooth": term_to_doc(b.nonsmooth),
+            "nonsmooth": b.nonsmooth.to_doc(),
             "box": None if b.box is None else {
                 "lo": [float(v) for v in b.box[0]],
                 "hi": [float(v) for v in b.box[1]],

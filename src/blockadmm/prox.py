@@ -50,11 +50,8 @@ __all__ = [
     "Linear",
     "Sum",
     "prox",
-    "prox_sparse_group",
-    "moreau_value",
     "soft_threshold",
     "group_shrink",
-    "term_to_doc",
     "term_from_doc",
     "merge_box",
 ]
@@ -638,18 +635,6 @@ def prox(term, v, t):
     return term.prox(v, t)
 
 
-def prox_sparse_group(v, lam, groups, weights, t):
-    """Prox of t * (lam * ||.||_1 + sum_J w_J ||._J||_2) at v."""
-    return prox(SparseGroup(lam, groups, weights), v, t)
-
-
-def moreau_value(term, v, t):
-    """Moreau envelope value: t * h(p) + (1/2) * ||v - p||^2 at p = prox."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    p = prox(term, v, t)
-    return t * term.value(p) + 0.5 * float(np.dot(v - p, v - p))
-
-
 def merge_box(term, lo, hi):
     """Fold box bounds into a nonsmooth term, returning an exact-prox term.
 
@@ -677,11 +662,6 @@ _TERM_TYPES = {
     "nonneg": NonnegIndicator,
     "linear": Linear,
 }
-
-
-def term_to_doc(term):
-    """JSON-ready dict for a term (sums are not serializable)."""
-    return term.to_doc()
 
 
 def term_from_doc(doc):

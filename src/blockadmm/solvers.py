@@ -20,11 +20,11 @@ Primal passes:
   detected and flagged.
 
 One function, ``_primal_pass``, takes the pass of any variant; ``run``
-and the public ``step_*`` functions both call it. An exact block solve
-is :func:`blockadmm.lagrangian.solve_block`, imported here: the module
-that evaluates d(y) on the whole vector decides how every inner
-minimization is done, and the primal passes call it through this
-module's ``solve_block``.
+and the public ``step`` both call it. An exact block solve is
+:func:`blockadmm.lagrangian.solve_block`, imported here: the module that
+evaluates d(y) on the whole vector decides how every inner minimization
+is done, and the primal passes call it through this module's
+``solve_block``.
 
 With alpha="auto" the driver starts at alpha = 0.1 * rho and enforces
 monotonicity of the combined optimality gap via a lookahead: a candidate
@@ -43,6 +43,7 @@ an iteration that diverges or hits a cap ends the run before its record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,10 +66,7 @@ __all__ = [
     "solve_block",
     "nu_constant",
     "default_beta",
-    "step_gauss_seidel",
-    "step_proximal",
-    "step_jacobi",
-    "step_jacobi_unsafe",
+    "step",
     "run",
 ]
 
@@ -85,11 +83,11 @@ class SolverConfig:
     """Configuration of one solver run.
 
     variant : one of VARIANTS.
-    rho : augmented Lagrangian penalty, positive.
-    alpha : dual stepsize; a nonnegative float, or "auto" for the
+    rho : augmented Lagrangian penalty, positive and finite.
+    alpha : dual stepsize; a nonnegative finite float, or "auto" for the
         monitored adaptive scheme starting at 0.1 * rho.
-    beta : proximal-variant stepsize parameter; must exceed the curvature
-        bound nu. None selects 1.01 * nu.
+    beta : proximal-variant stepsize parameter; a finite float above the
+        curvature bound nu. None selects 1.01 * nu.
     tol_outer : outer stopping tolerance on max(prox-gradient norm,
         feasibility residual). Exact block solves run to
         min(1e-10, tol_outer / 100).
@@ -203,78 +201,77 @@ def _dual_ascent(y, alpha, res):
     return y - alpha * res
 
 
-def _step(problem, variant, x, y, rho, alpha, tol_block=None, beta=None):
-    x_next, w = _primal_pass(problem, variant, x, y, rho, tol_block, beta)
-    res = problem.apply_E(x_next) - problem.q
-    return x_next, _dual_ascent(y, alpha, res), w
+def _check_variant(variant):
+    if variant not in VARIANTS:
+        raise ValueError("unknown variant %r; expected one of %s"
+                         % (variant, ", ".join(VARIANTS)))
 
 
-def step_gauss_seidel(problem, x, y, rho, alpha, tol_block=1e-12):
-    """One full iteration: cyclic exact sweep, then dual ascent."""
-    return _step(problem, "gauss_seidel", x, y, rho, alpha, tol_block)[:2]
-
-
-def _check_beta(problem, rho, beta):
-    """beta, checked to exceed the curvature bound nu."""
-    nu = nu_constant(problem, rho)
-    if beta <= nu:
-        raise ValueError(
-            "proximal stepsize parameter beta=%g must exceed the "
-            "curvature bound nu=%g" % (beta, nu)
-        )
-    return beta
-
-
-def step_proximal(problem, x, y, rho, alpha, beta):
-    """One full iteration: linearized sweep with step 1/beta, then dual
-    ascent. beta must exceed the curvature bound nu."""
-    _check_beta(problem, rho, beta)
-    return _step(problem, "proximal", x, y, rho, alpha, beta=beta)[:2]
-
-
-def step_jacobi(problem, x, y, rho, alpha, tol_block=1e-12):
-    """One damped Jacobi iteration; returns (x_next, y_next, w) with
-    x_next = x + (w - x) / K (and x_next = w exactly when K = 1)."""
-    return _step(problem, "jacobi", x, y, rho, alpha, tol_block)
-
-
-def step_jacobi_unsafe(problem, x, y, rho, alpha, tol_block=1e-12):
-    """One undamped Jacobi iteration (x_next = w). No descent guarantee;
-    the augmented Lagrangian may increase."""
-    return _step(problem, "jacobi_unsafe", x, y, rho, alpha, tol_block)
+def _setting(value, name, nonnegative=False):
+    """``value`` as a finite float above zero (or at least zero); a
+    ValueError naming the setting otherwise, NaN and infinity included."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not (math.isfinite(number)
+            and (number >= 0 if nonnegative else number > 0)):
+        raise ValueError("%s must be %s and finite, got %r" % (
+            name, "nonnegative" if nonnegative else "positive", value))
+    return number
 
 
 def _resolve(problem, config):
-    if config.variant not in VARIANTS:
-        raise ValueError(
-            "unknown variant %r; expected one of %s"
-            % (config.variant, ", ".join(VARIANTS))
-        )
-    if config.rho <= 0:
-        raise ValueError("rho must be positive, got %g" % config.rho)
-    if config.tol_outer <= 0:
-        raise ValueError("tol_outer must be positive")
-    if config.max_iters < 1:
+    """The checked settings of ``config``: (auto, alpha, tol_block, beta).
+
+    rho and tol_outer must be positive and finite, alpha "auto" or a
+    nonnegative finite float, and the proximal variant's beta None,
+    "auto" (both 1.01 * nu) or a finite float above the curvature bound
+    nu. ``run``, ``step`` and the CLI's solve, sweep and diagnose all
+    check their settings here.
+    """
+    _check_variant(config.variant)
+    rho = _setting(config.rho, "rho")
+    tol_outer = _setting(config.tol_outer, "tol_outer")
+    if not config.max_iters >= 1:
         raise ValueError("max_iters must be at least 1")
-    auto = isinstance(config.alpha, str)
-    if auto:
-        if config.alpha != "auto":
-            raise ValueError("alpha must be a nonnegative float or 'auto'")
-        alpha = 0.1 * config.rho
-    else:
-        alpha = float(config.alpha)
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative, got %g" % alpha)
-    tol_block = min(1e-10, config.tol_outer / 100.0)
+    auto = config.alpha == "auto"
+    alpha = 0.1 * rho if auto else _setting(config.alpha, "alpha",
+                                            nonnegative=True)
+    tol_block = min(1e-10, tol_outer / 100.0)
     beta = None
     if config.variant == "proximal":
-        beta = config.beta
-        if beta is None or beta == "auto":
-            beta = default_beta(problem, config.rho)
-        elif isinstance(beta, str):
-            raise ValueError("beta must be a positive float or 'auto'")
-        beta = _check_beta(problem, config.rho, float(beta))
+        if config.beta is None or config.beta == "auto":
+            beta = default_beta(problem, rho)
+        else:
+            beta = _setting(config.beta, "beta")
+            nu = nu_constant(problem, rho)
+            if beta <= nu:
+                raise ValueError(
+                    "proximal stepsize parameter beta=%g must exceed the "
+                    "curvature bound nu=%g" % (beta, nu)
+                )
     return auto, alpha, tol_block, beta
+
+
+def step(problem, variant, x, y, rho, alpha, beta=None):
+    """One iteration of ``variant`` from (x, y): its primal pass at fixed
+    y, then the dual step y + alpha * (q - E x_next).
+
+    Returns (x_next, y_next, w), with w the Jacobi direction (None for
+    the cyclic passes). The settings are checked as ``run`` checks them;
+    alpha is a nonnegative float, since the monitor of alpha="auto"
+    belongs to ``run``. Block solves run to the tolerance ``run`` uses
+    at its default tol_outer, and beta=None selects 1.01 * nu.
+    """
+    auto, alpha, tol_block, beta = _resolve(problem, SolverConfig(
+        variant=variant, rho=rho, alpha=alpha, beta=beta))
+    if auto:
+        raise ValueError("step takes a nonnegative float alpha; "
+                         "alpha='auto' is run's monitored scheme")
+    x_next, w = _primal_pass(problem, variant, x, y, rho, tol_block, beta)
+    res = problem.apply_E(x_next) - problem.q
+    return x_next, _dual_ascent(y, alpha, res), w
 
 
 def run(problem, config=None, init=None, **overrides):

@@ -250,12 +250,27 @@ def test_out_of_range_tol_ref_is_a_usage_error(tmp_path, capsys, command):
     assert "--tol-ref must be in (0, 1e-10]" in capsys.readouterr().err
 
 
-def test_solve_rejects_bad_alpha(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "xyz", "alpha must be a float or 'auto'"),
+    ("--alpha", "nan", "alpha must be nonnegative and finite, got nan"),
+    ("--alpha", "inf", "alpha must be nonnegative and finite, got inf"),
+    ("--rho", "nan", "rho must be positive and finite, got nan"),
+    ("--rho", "inf", "rho must be positive and finite, got inf"),
+    ("--tol", "nan", "tol_outer must be positive and finite, got nan"),
+    ("--tol", "inf", "tol_outer must be positive and finite, got inf"),
+], ids=["alpha-xyz", "alpha-nan", "alpha-inf", "rho-nan", "rho-inf",
+        "tol-nan", "tol-inf"])
+def test_solve_rejects_bad_alpha(tmp_path, capsys, flag, value, message):
+    # NaN passes every comparison test, so a non-finite setting would run
+    # to a cap and write NaN into the result
     prob = _gen_kblock(tmp_path)
+    report = tmp_path / "r.json"
     with pytest.raises(SystemExit) as info:
-        main(["solve", "--problem", str(prob), "--alpha", "xyz"])
+        main(["solve", "--problem", str(prob), flag, value,
+              "--report", str(report)])
     assert info.value.code == 1
-    assert "alpha must be a float or 'auto'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
@@ -479,18 +494,36 @@ def test_diagnose_rejects_a_trace_without_records(tmp_path, capsys):
     assert "holds no records" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["rho", "variant"])
-def test_diagnose_requires_the_solve_settings(tmp_path, capsys, key):
-    # diagnosing at a guessed rho or variant checks the wrong inequalities
+@pytest.mark.parametrize("change, message", [
+    ({"rho": None}, "no 'rho'"),
+    ({"variant": None}, "no 'variant'"),
+    ({"rho": "abc"}, "rho must be positive and finite, got 'abc'"),
+    ({"rho": -1.0}, "rho must be positive and finite, got -1.0"),
+    ({"rho": float("nan")}, "rho must be positive and finite, got nan"),
+    ({"variant": "bogus"}, "unknown variant 'bogus'"),
+    ({"variant": "proximal", "beta": "abc"},
+     "beta must be positive and finite, got 'abc'"),
+], ids=["rho", "variant", "rho-abc", "rho-negative", "rho-nan",
+        "variant-bogus", "beta-abc"])
+def test_diagnose_requires_the_solve_settings(tmp_path, capsys, change,
+                                              message):
+    # diagnosing at a guessed or malformed rho, variant or beta checks the
+    # wrong inequalities; the meta is input, checked as solve checks it
     prob, trace = _solve_kblock_trace(tmp_path)
     sidecar = tmp_path / "t.csv.states.json"
     doc = json.loads(sidecar.read_text())
-    del doc["meta"][key]
+    for key, value in change.items():
+        if value is None:
+            del doc["meta"][key]
+        else:
+            doc["meta"][key] = value
     sidecar.write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as info:
         main(["diagnose", "--problem", str(prob), "--trace", str(trace)])
     assert info.value.code == 1
-    assert "no %r" % key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert str(sidecar) in err
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +597,15 @@ def test_sweep_rejects_bad_grid_and_variant(tmp_path, capsys):
               "--variants", "gs,bogus"])
     assert info.value.code == 1
     assert "unknown variant" in capsys.readouterr().err
+    # the shared settings are checked as solve checks them, before the
+    # reference solve
+    for flag, message in (("--rho", "rho must be positive and finite"),
+                          ("--tol", "tol_outer must be positive and finite")):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--problem", str(prob), "--alpha-grid", "0.1",
+                  flag, "nan"])
+        assert info.value.code == 1
+        assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

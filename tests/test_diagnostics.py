@@ -246,6 +246,8 @@ def test_gamma_value_by_variant():
     assert got == pytest.approx(0.25 * nu)
     with pytest.raises(ValueError, match="beta"):
         gamma_value(p, 1.0, variant="proximal")
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        gamma_value(p, 1.0, variant="bogus")
 
 
 def test_descent_ratio_on_exact_quadratic_block():
@@ -619,6 +621,16 @@ def test_run_diagnostics_requires_iterate_states():
     p, ref = _kb()
     with pytest.raises(ValueError, match="no iterate states"):
         run_diagnostics(p, [TraceRecord(r=0, L_val=1.0)], 1.0, reference=ref)
+
+
+def test_run_diagnostics_rejects_an_unknown_variant():
+    # a variant outside solvers.VARIANTS has no descent constant; it is
+    # not diagnosed as Gauss-Seidel
+    p, ref = _kb()
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha=0.1,
+              tol_outer=1e-13, max_iters=8)
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        run_diagnostics(p, res.records, 1.0, variant="bogus", reference=ref)
 
 
 def test_run_diagnostics_requires_consecutive_records():

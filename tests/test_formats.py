@@ -29,7 +29,6 @@ from blockadmm.prox import (
     SparseGroup,
     Zero,
     term_from_doc,
-    term_to_doc,
 )
 from blockadmm.trace import (
     CheckRow,
@@ -251,9 +250,9 @@ _TERM_DOCS = [
 def test_term_docs_are_pinned():
     # json.dumps pins key order and int-versus-float spelling as well
     for term, expected in _TERM_DOCS:
-        doc = term_to_doc(term)
+        doc = term.to_doc()
         assert json.dumps(doc) == json.dumps(expected), term.kind
-        assert json.dumps(term_to_doc(term_from_doc(doc))) == json.dumps(doc)
+        assert json.dumps(term_from_doc(doc).to_doc()) == json.dumps(doc)
 
 
 def test_report_docs_keep_their_key_order():

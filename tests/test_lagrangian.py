@@ -6,12 +6,10 @@ import pytest
 from blockadmm.generators import gen_group_l2
 from blockadmm.lagrangian import (
     ConvergenceError,
+    _smooth_gradient,
     augmented_lagrangian,
-    dual_gradient,
-    dual_value,
     minimize_lagrangian,
     proximal_gradient,
-    smooth_gradient,
 )
 from blockadmm.problem import Block, SmoothTerm, build_problem, objective
 from blockadmm.prox import L1, GroupL2, Zero
@@ -89,7 +87,7 @@ def test_smooth_gradient_feasible_no_smooth():
     x = rng.standard_normal(3)
     p = build_problem([Block(E=E, nonsmooth=L1(1.0))], E @ x)
     y = rng.standard_normal(2)
-    g = smooth_gradient(p, x, y, 1.0)
+    g = _smooth_gradient(p, x, y, 1.0)
     err = np.linalg.norm(g - (-E.T @ y))
     assert err < 1e-12
 
@@ -101,11 +99,12 @@ def test_smooth_gradient_rho_zero_least_squares():
     p = build_problem([Block(E=rng.standard_normal((2, 3)), A=A,
                              smooth=SmoothTerm(b=b))], np.zeros(2))
     x = rng.standard_normal(3)
-    g = smooth_gradient(p, x, np.zeros(2), 0.0)
+    # h = 0, so the prox-gradient residual is the smooth gradient
+    g = proximal_gradient(p, x, np.zeros(2), 0.0)
     err = np.linalg.norm(g - A.T @ (A @ x - b))
     assert err < 1e-12
     with pytest.raises(ValueError):
-        smooth_gradient(p, x, np.zeros(2), -1.0)
+        proximal_gradient(p, x, np.zeros(2), -1.0)
 
 
 def test_smooth_gradient_matches_finite_differences():
@@ -124,7 +123,7 @@ def test_smooth_gradient_matches_finite_differences():
                 val += blk.smooth_value(z[blk.sl])
             return val
 
-        g = smooth_gradient(p, x, y, rho)
+        g = _smooth_gradient(p, x, y, rho)
         fd = fd_gradient(smooth_part, x, 1e-6 * (1 + np.linalg.norm(x)))
         err = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-8)
         assert err < 1e-5
@@ -154,7 +153,7 @@ def test_proximal_gradient_equals_smooth_gradient_without_h():
         x = rng.standard_normal(p.n)
         y = rng.standard_normal(p.m)
         pg = proximal_gradient(p, x, y, 1.5)
-        sg = smooth_gradient(p, x, y, 1.5)
+        sg = _smooth_gradient(p, x, y, 1.5)
         err = np.linalg.norm(pg - sg)
         assert err < 1e-13 * (1 + np.linalg.norm(x))
 
@@ -260,9 +259,8 @@ def test_dual_concavity():
         y1 = rng.normal(scale=2.0, size=p.m)
         y2 = rng.normal(scale=2.0, size=p.m)
         t = float(rng.uniform())
-        d1 = dual_value(p, y1, 1.0, tol=tol)
-        d2 = dual_value(p, y2, 1.0, tol=tol)
-        dm = dual_value(p, t * y1 + (1 - t) * y2, 1.0, tol=tol)
+        d1, d2, dm = (minimize_lagrangian(p, yy, 1.0, tol=tol).d_value
+                      for yy in (y1, y2, t * y1 + (1 - t) * y2))
         assert dm >= t * d1 + (1 - t) * d2 - 2 * tol
 
 
@@ -274,10 +272,11 @@ def test_dual_gradient_directional_finite_difference():
         y = rng.normal(scale=1.0, size=p.m)
         direction = rng.standard_normal(p.m)
         direction /= np.linalg.norm(direction)
-        g = dual_gradient(p, y, rho, tol=1e-10)
+        g = minimize_lagrangian(p, y, rho, tol=1e-10).dual_grad
         step = 1e-4
-        d_plus = dual_value(p, y + step * direction, rho, tol=1e-10)
-        d_minus = dual_value(p, y - step * direction, rho, tol=1e-10)
+        d_plus, d_minus = (
+            minimize_lagrangian(p, y + sign * step * direction, rho,
+                                tol=1e-10).d_value for sign in (1, -1))
         fd = (d_plus - d_minus) / (2 * step)
         assert abs(fd - float(g @ direction)) < 1e-4
 
@@ -290,8 +289,8 @@ def test_dual_gradient_lipschitz():
         for _ in range(100):
             y1 = rng.normal(scale=2.0, size=p.m)
             y2 = rng.normal(scale=2.0, size=p.m)
-            g1 = dual_gradient(p, y1, rho, tol=tol)
-            g2 = dual_gradient(p, y2, rho, tol=tol)
+            g1, g2 = (minimize_lagrangian(p, yy, rho, tol=tol).dual_grad
+                      for yy in (y1, y2))
             lhs = np.linalg.norm(g1 - g2)
             rhs = np.linalg.norm(y1 - y2) / rho + 10 * tol
             assert lhs <= rhs
@@ -331,7 +330,7 @@ def test_weak_duality_at_fixed_y():
     rng = np.random.default_rng(20)
     for _ in range(5):
         y = rng.normal(scale=1.5, size=p.m)
-        d = dual_value(p, y, 1.0, tol=1e-10)
+        d = minimize_lagrangian(p, y, 1.0, tol=1e-10).d_value
         for _ in range(20):
             x = rng.normal(scale=2.0, size=p.n)
             assert d <= augmented_lagrangian(p, x, y, 1.0) + 1e-9

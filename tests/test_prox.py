@@ -15,12 +15,9 @@ from blockadmm.prox import (
     Zero,
     group_shrink,
     merge_box,
-    moreau_value,
     prox,
-    prox_sparse_group,
     soft_threshold,
     term_from_doc,
-    term_to_doc,
 )
 
 from oracles import bisection_ball_box_prox, grid_prox_1d, grid_prox_2d
@@ -30,6 +27,12 @@ from oracles import bisection_ball_box_prox, grid_prox_1d, grid_prox_2d
 # frozen scalar values
 # ---------------------------------------------------------------------------
 
+def _moreau_value(term, v, t):
+    """Moreau envelope value t * h(p) + (1/2) * ||v - p||^2 at p = prox."""
+    p = prox(term, v, t)
+    return t * term.value(p) + 0.5 * float(np.dot(v - p, v - p))
+
+
 def test_l1_prox_known_values():
     assert prox(L1(1.0), np.array([3.0]), 1.0)[0] == 2.0
     assert prox(L1(1.0), np.array([0.0]), 1.0)[0] == 0.0
@@ -37,7 +40,7 @@ def test_l1_prox_known_values():
     # inside the dead zone
     assert prox(L1(2.0), np.array([1.5]), 1.0)[0] == 0.0
     # moreau envelope at v=3, t=1: |2| + (3-2)^2/2 = 2.5
-    assert moreau_value(L1(1.0), np.array([3.0]), 1.0) == 2.5
+    assert _moreau_value(L1(1.0), np.array([3.0]), 1.0) == 2.5
 
 
 def test_group_l2_prox_known_values():
@@ -56,7 +59,7 @@ def test_sparse_group_prox_known_value():
     # soft((3,4), 1) = (2,3), norm sqrt(13), shrink by (1 - 1/sqrt(13))
     expected = np.array([2.0 - 2.0 / np.sqrt(13.0),
                          3.0 - 3.0 / np.sqrt(13.0)])
-    p = prox_sparse_group(np.array([3.0, 4.0]), 1.0, [[0, 1]], [1.0], 1.0)
+    p = prox(SparseGroup(1.0, [[0, 1]], [1.0]), np.array([3.0, 4.0]), 1.0)
     err = np.linalg.norm(p - expected)
     assert err < 1e-12
 
@@ -72,11 +75,11 @@ def test_box_nonneg_linear_known_values():
 
 
 def test_moreau_values():
-    assert moreau_value(Zero(), np.array([5.0, -1.0]), 2.0) == 0.0
+    assert _moreau_value(Zero(), np.array([5.0, -1.0]), 2.0) == 0.0
     box = BoxIndicator(-np.ones(2), np.ones(2))
-    assert moreau_value(box, np.array([0.5, -0.5]), 1.0) == 0.0
+    assert _moreau_value(box, np.array([0.5, -0.5]), 1.0) == 0.0
     # outside the box the value is the squared projection distance / 2
-    assert moreau_value(box, np.array([3.0, 0.0]), 1.0) == 2.0
+    assert _moreau_value(box, np.array([3.0, 0.0]), 1.0) == 2.0
 
 
 def test_zero_prox_is_identity():
@@ -565,12 +568,12 @@ def test_term_serialization_roundtrip():
     ]
     v = rng.normal(size=3)
     for term in terms:
-        doc = term_to_doc(term)
+        doc = term.to_doc()
         back = term_from_doc(doc)
-        assert term_to_doc(back) == doc
+        assert back.to_doc() == doc
         assert np.array_equal(prox(term, v, 0.7), prox(back, v, 0.7))
     with pytest.raises(ValueError):
-        term_to_doc(Sum([BoxIndicator(-np.ones(3), np.ones(3)), L1(1.0)]))
+        Sum([BoxIndicator(-np.ones(3), np.ones(3)), L1(1.0)]).to_doc()
     with pytest.raises(ValueError):
         term_from_doc({"type": "mystery"})
 

@@ -36,10 +36,7 @@ from blockadmm.solvers import (
     nu_constant,
     run,
     solve_block,
-    step_gauss_seidel,
-    step_jacobi,
-    step_jacobi_unsafe,
-    step_proximal,
+    step,
 )
 from blockadmm.trace import records_equal
 from blockadmm import lagrangian, solvers
@@ -152,7 +149,7 @@ def test_gauss_seidel_alpha_zero_keeps_y():
     y = rng.standard_normal(p.m)
     L_prev = augmented_lagrangian(p, x, y, 1.0)
     for _ in range(5):
-        x, y_new = step_gauss_seidel(p, x, y, 1.0, alpha=0.0)
+        x, y_new, _ = step(p, "gauss_seidel", x, y, 1.0, alpha=0.0)
         assert np.array_equal(y_new, y)
         L_cur = augmented_lagrangian(p, x, y, 1.0)
         assert L_cur <= L_prev + 1e-12
@@ -166,8 +163,7 @@ def test_gauss_seidel_single_block_is_method_of_multipliers():
     x = np.zeros(3)
     y = rng.standard_normal(3)
     alpha = 0.4
-    x_next, y_next = step_gauss_seidel(p, x, y, 1.0, alpha=alpha,
-                                       tol_block=1e-12)
+    x_next, y_next, _ = step(p, "gauss_seidel", x, y, 1.0, alpha=alpha)
     inner = minimize_lagrangian(p, y, 1.0, tol=1e-11)
     err = np.linalg.norm(x_next - inner.x_of_y)
     assert err < 1e-9
@@ -187,7 +183,7 @@ def test_gauss_seidel_sweep_descent():
         y = rng.standard_normal(p.m)
         for _ in range(8):
             L_before = augmented_lagrangian(p, x, y, rho)
-            x_next, y_next = step_gauss_seidel(p, x, y, rho, alpha=0.05)
+            x_next, y_next, _ = step(p, "gauss_seidel", x, y, rho, alpha=0.05)
             L_after = augmented_lagrangian(p, x_next, y, rho)
             step_sq = float(np.sum((x_next - x) ** 2))
             assert L_before - L_after >= 0.5 * gamma * step_sq - 1e-9
@@ -226,7 +222,8 @@ def test_proximal_step_is_gradient_step_when_h_zero():
     x = rng.standard_normal(2)
     y = rng.standard_normal(2)
     rho, beta, alpha = 2.0, 3.0, 0.1
-    x_next, y_next = step_proximal(p, x, y, rho, alpha=alpha, beta=beta)
+    x_next, y_next, _ = step(p, "proximal", x, y, rho, alpha=alpha,
+                             beta=beta)
     expected = x - (rho * (x - q) - y) / beta
     assert np.linalg.norm(x_next - expected) < 1e-14
     expected_y = y + alpha * (q - x_next)
@@ -245,8 +242,8 @@ def test_proximal_descent_constant():
         y = rng.standard_normal(p.m)
         for _ in range(10):
             L_before = augmented_lagrangian(p, x, y, rho)
-            x_next, y_next = step_proximal(p, x, y, rho, alpha=0.05,
-                                           beta=beta)
+            x_next, y_next, _ = step(p, "proximal", x, y, rho, alpha=0.05,
+                                     beta=beta)
             L_after = augmented_lagrangian(p, x_next, y, rho)
             step_sq = float(np.sum((x_next - x) ** 2))
             assert L_before - L_after >= gamma * step_sq - 1e-9
@@ -259,8 +256,8 @@ def test_proximal_beta_validation():
     x = np.zeros(p.n)
     y = np.zeros(p.m)
     with pytest.raises(ValueError, match="nu"):
-        step_proximal(p, x, y, 1.0, alpha=0.1, beta=nu)
-    step_proximal(p, x, y, 1.0, alpha=0.1, beta=1.01 * nu)
+        step(p, "proximal", x, y, 1.0, alpha=0.1, beta=nu)
+    step(p, "proximal", x, y, 1.0, alpha=0.1, beta=1.01 * nu)
 
 
 def test_proximal_allows_rank_deficient_blocks():
@@ -304,9 +301,9 @@ def test_jacobi_single_block_equals_gauss_seidel():
                       rng.standard_normal(2))
     x = np.zeros(2)
     y = rng.standard_normal(2)
-    gs = step_gauss_seidel(p, x, y, 1.0, alpha=0.1)
-    jx, jy, _ = step_jacobi(p, x, y, 1.0, alpha=0.1)
-    ux, uy, _ = step_jacobi_unsafe(p, x, y, 1.0, alpha=0.1)
+    gs = step(p, "gauss_seidel", x, y, 1.0, alpha=0.1)
+    jx, jy, _ = step(p, "jacobi", x, y, 1.0, alpha=0.1)
+    ux, uy, _ = step(p, "jacobi_unsafe", x, y, 1.0, alpha=0.1)
     assert np.array_equal(gs[0], jx) and np.array_equal(gs[1], jy)
     assert np.array_equal(gs[0], ux) and np.array_equal(gs[1], uy)
 
@@ -316,7 +313,7 @@ def test_jacobi_update_identity_exact():
     rng = np.random.default_rng(18)
     x = p.project_domains(rng.standard_normal(p.n))
     y = rng.standard_normal(p.m)
-    x_next, y_next, w = step_jacobi(p, x, y, 1.0, alpha=0.1)
+    x_next, y_next, w = step(p, "jacobi", x, y, 1.0, alpha=0.1)
     # the damped update satisfies K (x+ - x) = (w - x) up to one rounding
     # of the x + d round trip per coordinate
     scale = np.maximum(np.abs(x), np.abs(w)) + np.abs(w - x)
@@ -331,7 +328,7 @@ def test_jacobi_update_identity_exact():
         p2 = build_problem(blocks, rng.standard_normal(3))
         x = rng.standard_normal(K)
         y = rng.standard_normal(3)
-        x_next, y_next, w = step_jacobi(p2, x, y, 1.0, alpha=0.1)
+        x_next, y_next, w = step(p2, "jacobi", x, y, 1.0, alpha=0.1)
         scale = np.maximum(np.abs(x), np.abs(w)) + np.abs(w - x)
         lhs = K * (x_next - x)
         assert np.all(np.abs(lhs - (w - x))
@@ -348,7 +345,7 @@ def test_jacobi_descent_gamma_k():
         y = rng.standard_normal(p.m)
         for _ in range(8):
             L_before = augmented_lagrangian(p, x, y, rho)
-            x_next, y_next, _ = step_jacobi(p, x, y, rho, alpha=0.05)
+            x_next, y_next, _ = step(p, "jacobi", x, y, rho, alpha=0.05)
             L_after = augmented_lagrangian(p, x_next, y, rho)
             step_sq = float(np.sum((x_next - x) ** 2))
             assert L_before - L_after >= gamma_k * step_sq - 1e-8
@@ -365,7 +362,7 @@ def test_jacobi_unsafe_can_increase_and_is_detected():
     x = np.array([1.0, 1.0, 1.0])
     y = np.zeros(1)
     L0 = augmented_lagrangian(p, x, y, 1.0)
-    x_up, _, w = step_jacobi_unsafe(p, x, y, 1.0, alpha=0.0)
+    x_up, _, w = step(p, "jacobi_unsafe", x, y, 1.0, alpha=0.0)
     L1_ = augmented_lagrangian(p, x_up, y, 1.0)
     assert L1_ > L0 + 1.0
 
@@ -374,7 +371,7 @@ def test_jacobi_unsafe_can_increase_and_is_detected():
     assert any("increased" in msg for msg in res.warnings)
 
     # externally damped unsafe direction reproduces the safe variant
-    xs, _, ws = step_jacobi(p, x, y, 1.0, alpha=0.1)
+    xs, _, ws = step(p, "jacobi", x, y, 1.0, alpha=0.1)
     assert np.array_equal(x + (w - x) / p.K, xs)
     assert np.array_equal(w, ws)
 
@@ -444,30 +441,23 @@ def test_run_determinism_bitwise():
 
 
 def test_run_records_match_the_public_steps_bitwise():
-    # run and the step_* functions take the same primal pass and dual
-    # step, so each recorded transition is one public step, bit for bit.
+    # run and step take the same primal pass and dual step, and step's
+    # block solves run to run's tolerance at the default tol_outer, so
+    # each recorded transition is one public step, bit for bit.
     p = _mixed_problem(seed=26)
-    tol_outer = 1e-8
-    tol_block = min(1e-10, tol_outer / 100.0)
+    tol_outer = SolverConfig().tol_outer
     for variant in ("gauss_seidel", "proximal", "jacobi", "jacobi_unsafe"):
         res = run(p, variant=variant, rho=1.0, alpha=0.05,
                   tol_outer=tol_outer, max_iters=30)
-        assert res.tol_block == tol_block
+        assert res.tol_block == min(1e-10, tol_outer / 100.0)
         assert len(res.records) == res.iterations >= 3
         next_ys = [rec.y for rec in res.records[1:]] + [res.y]
         for rec, y_next in zip(res.records, next_ys):
-            if variant == "gauss_seidel":
-                out = step_gauss_seidel(p, rec.x, rec.y, 1.0, rec.alpha,
-                                        tol_block=tol_block)
-            elif variant == "proximal":
-                out = step_proximal(p, rec.x, rec.y, 1.0, rec.alpha,
-                                    res.beta)
-            else:
-                step = step_jacobi if variant == "jacobi" \
-                    else step_jacobi_unsafe
-                out = step(p, rec.x, rec.y, 1.0, rec.alpha,
-                           tol_block=tol_block)
+            out = step(p, variant, rec.x, rec.y, 1.0, rec.alpha, res.beta)
+            if variant in ("jacobi", "jacobi_unsafe"):
                 assert np.array_equal(out[2], rec.w)
+            else:
+                assert out[2] is None
             assert np.array_equal(out[0], rec.x_next)
             assert np.array_equal(out[1], y_next)
 
@@ -715,6 +705,22 @@ def test_run_config_validation():
         run(p, variant="gauss_seidel", rho=1.0, alpha=-0.1)
     with pytest.raises(ValueError, match="nu"):
         run(p, variant="proximal", rho=1.0, beta=0.01)
+    # NaN fails every comparison, so each setting is checked to be finite;
+    # step takes the same checks
+    x, y = np.zeros(p.n), np.zeros(p.m)
+    for bad in (float("nan"), float("inf")):
+        for setting in ({"rho": bad}, {"alpha": bad}, {"tol_outer": bad},
+                        {"variant": "proximal", "beta": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                run(p, **{"variant": "gauss_seidel", **setting})
+        for rho, alpha, beta in ((bad, 0.1, None), (1.0, bad, None),
+                                 (1.0, 0.1, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                step(p, "proximal", x, y, rho, alpha, beta)
+    with pytest.raises(ValueError, match="unknown variant"):
+        step(p, "sor", x, y, 1.0, 0.1)
+    with pytest.raises(ValueError, match="auto"):
+        step(p, "gauss_seidel", x, y, 1.0, "auto")
     cfg = SolverConfig(variant="gauss_seidel", rho=2.0, alpha="auto")
     res = run(p, config=cfg, max_iters=1)
     assert res.config.rho == 2.0
