@@ -13,6 +13,7 @@ import sys
 
 from .diagnostics import (
     _combined_monotone_rows,
+    _tol_ref,
     compute_gaps,
     estimate_rate,
     reference_solution,
@@ -149,9 +150,10 @@ def _parse_float_or_auto(text, name, parser):
 
 
 def _check_tol_ref(tol_ref, parser):
-    """The reference accuracy reference_solution accepts, (0, 1e-10]."""
-    if not 0 < tol_ref <= 1e-10:
-        parser.error("--tol-ref must be in (0, 1e-10], got %g" % tol_ref)
+    try:
+        _tol_ref(tol_ref, "--tol-ref")
+    except ValueError as e:
+        parser.error(str(e))
 
 
 def _cmd_solve(args, parser):

@@ -42,6 +42,7 @@ from .lagrangian import (
     proximal_gradient,
 )
 from .problem import objective
+from .prox import _setting, _vector
 from .solvers import _check_variant, nu_constant
 from .trace import CheckRow
 
@@ -68,6 +69,18 @@ __all__ = [
 _MIN_POINTS = 20     # usable tail points a geometric fit needs
 
 
+def _tol_ref(value, name="tol_ref"):
+    """``value`` as a reference accuracy in (0, 1e-10], the scale of every
+    slack of the diagnosis, else a ValueError naming ``name``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError("%s is not a number: %r" % (name, value)) from None
+    if not 0 < number <= 1e-10:
+        raise ValueError("%s must be in (0, 1e-10], got %g" % (name, number))
+    return number
+
+
 @dataclass
 class Reference:
     """A high-accuracy primal-dual solution used as ground truth."""
@@ -89,12 +102,10 @@ def reference_solution(problem, rho, tol_ref=1e-10, y0=None,
     the tol_ref level. Raises ConvergenceError, carrying the last y and
     its gradient norm, after ``max_outer`` dual steps.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive, got %g" % rho)
-    if not (0 < tol_ref <= 1e-10):
-        raise ValueError("tol_ref must be in (0, 1e-10], got %g" % tol_ref)
+    rho = _setting(rho, "rho")
+    tol_ref = _tol_ref(tol_ref)
     y = np.zeros(problem.m) if y0 is None else \
-        np.asarray(y0, dtype=float).copy()
+        _vector(y0, problem.m, "y0").copy()
     warm = None
     inner_tol = tol_ref / 10.0
     for _ in range(max_outer):
@@ -149,6 +160,7 @@ def compute_gaps(problem, records, reference, rho):
     delta_p - delta_d = L_val - d* and the nonnegativity of both gaps up
     to 10 * tol_ref.
     """
+    rho = _setting(rho, "rho")
     _require_states(records)
     inner_tol = reference.tol_ref
     rows = []
@@ -182,6 +194,7 @@ def compute_gaps(problem, records, reference, rho):
 def gamma_value(problem, rho, variant="gauss_seidel", beta=None):
     """Descent constant of the variant's primal pass, one of
     ``solvers.VARIANTS``."""
+    rho = _setting(rho, "rho")
     _check_variant(variant)
     if variant == "proximal":
         if beta is None:
@@ -193,6 +206,7 @@ def gamma_value(problem, rho, variant="gauss_seidel", beta=None):
 def _gamma_eff(problem, gamma, variant):
     """gamma for exact and linearized sweeps, gamma * K for the damped
     Jacobi sweep."""
+    _check_variant(variant)
     return gamma * problem.K if variant in ("jacobi", "jacobi_unsafe") \
         else gamma
 
@@ -211,6 +225,7 @@ def check_descent_lemma(problem, records, rho, gamma,
     are left out of gamma_observed: there both drop and step^2 are
     rounding residue and their quotient measures nothing.
     """
+    rho = _setting(rho, "rho")
     _require_states(records)
     gamma_eff = _gamma_eff(problem, gamma, variant)
     rows = []
@@ -230,7 +245,7 @@ def check_descent_lemma(problem, records, rho, gamma,
     return rows, gamma_observed
 
 
-def check_gap_decrease(problem, records, reference, rho, gamma,
+def check_gap_decrease(problem, records, reference, gamma,
                        variant="gauss_seidel"):
     """Verify the dual-gap, primal-gap, and combined decrease estimates
     on consecutive recorded transitions.
@@ -411,8 +426,8 @@ def estimate_error_bound_constants(problem, rho, reference, n_samples=20,
     ``dual_upper_bound_only`` when E^T has a nontrivial kernel. Samples
     whose residual falls below the noise floor 100 * tol are skipped.
     """
-    if tol is None:
-        tol = reference.tol_ref
+    rho = _setting(rho, "rho")
+    tol = _setting(reference.tol_ref if tol is None else tol, "tol")
     rng = np.random.default_rng(seed)
     floor = 100.0 * tol
     tau_p = 0.0
@@ -453,15 +468,13 @@ def estimate_error_bound_constants(problem, rho, reference, n_samples=20,
 
 def alpha_bound_estimate(gamma, sigma_emp, tau_primal_emp, norm_E):
     """Estimated admissible dual stepsize bound
-    gamma / (tau^2 * sigma^2 * ||E||^2). An estimate, not a certificate:
-    it inherits the empirical tau and sigma."""
+    gamma / (tau^2 * sigma^2 * ||E||^2), each constant positive and
+    finite. An estimate, not a certificate: it inherits the empirical
+    tau and sigma."""
     for name, value in (("gamma", gamma), ("sigma_emp", sigma_emp),
                         ("tau_primal_emp", tau_primal_emp),
                         ("norm_E", norm_E)):
-        if not value > 0:
-            raise ValueError(
-                "%s must be positive, got %g" % (name, value)
-            )
+        _setting(value, name)
     denom = (tau_primal_emp ** 2) * (sigma_emp ** 2) * (norm_E ** 2)
     return gamma / denom
 
@@ -474,6 +487,7 @@ def constructive_sigma(problem, rho):
 
     assembled from the per-block triangle bound on the prox-gradient
     error."""
+    rho = _setting(rho, "rho")
     norms = [b.norm_E for b in problem.blocks]
     c = 0.0
     prefix = 0.0
@@ -493,6 +507,7 @@ def check_function_value_convergence(problem, records, reference, rho,
     and fit the geometric decay of |f(x^{r+1}) - d*| on the tail, as
     estimate_rate does. Returns (rows, fit); fit is None when too few
     points remain."""
+    rho = _setting(rho, "rho")
     _require_states(records)
     rows = []
     for rec in records:
@@ -573,7 +588,7 @@ def run_diagnostics(problem, records, rho, variant="gauss_seidel",
         problem, records, rho, gamma, variant=variant,
         step_floor=step_floor)
     rows += descent_rows
-    rows += check_gap_decrease(problem, records, reference, rho, gamma,
+    rows += check_gap_decrease(problem, records, reference, gamma,
                                variant=variant)
     fv_rows, _fv_fit = check_function_value_convergence(
         problem, records, reference, rho)

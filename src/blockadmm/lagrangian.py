@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import objective, residual_vector
-from .prox import _distance
+from .prox import _distance, _setting, _vector
 
 __all__ = [
     "ConvergenceError",
@@ -72,18 +72,6 @@ class ConvergenceError(RuntimeError):
         self.best_value = best_value
 
 
-def _check_xy(problem, x, y, rho):
-    if rho < 0:
-        raise ValueError("rho must be nonnegative, got %g" % rho)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (problem.n,):
-        raise ValueError("x has shape %s, expected (%d,)" % (x.shape, problem.n))
-    if y.shape != (problem.m,):
-        raise ValueError("y has shape %s, expected (%d,)" % (y.shape, problem.m))
-    return x, y
-
-
 def _lagrangian_parts(problem, x, y, rho):
     """(f(x), E x - q, L(x; y)) for a checked x and y."""
     res = residual_vector(problem, x)
@@ -94,10 +82,9 @@ def _lagrangian_parts(problem, x, y, rho):
 
 def augmented_lagrangian(problem, x, y, rho):
     """L(x; y) = f(x) + <y, q - E x> + (rho/2) * ||q - E x||^2."""
-    if rho <= 0:
-        raise ValueError("rho must be positive, got %g" % rho)
-    x, y = _check_xy(problem, x, y, rho)
-    return _lagrangian_parts(problem, x, y, rho)[2]
+    rho = _setting(rho, "rho")
+    return _lagrangian_parts(problem, _vector(x, problem.n, "x"),
+                             _vector(y, problem.m, "y"), rho)[2]
 
 
 def _smooth_gradient(problem, x, y, rho):
@@ -129,10 +116,11 @@ def proximal_gradient(problem, x, y, rho):
 
     one prox of the whole vector (h is separable across blocks). Zero
     exactly at inner minimizers; its norm is the inner stopping criterion
-    everywhere in this package.
+    everywhere in this package. rho = 0 gives the residual of f alone.
     """
-    x, y = _check_xy(problem, x, y, rho)
-    return x - _gradient_and_prox(problem, x, y, rho)[1]
+    x = _vector(x, problem.n, "x")
+    return x - _gradient_and_prox(problem, x, _vector(y, problem.m, "y"),
+                                  _setting(rho, "rho", nonnegative=True))[1]
 
 
 @dataclass
@@ -276,17 +264,13 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
     iteration. Raises ConvergenceError (carrying the best iterate seen)
     after ``max_iter`` FISTA iterations.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive, got %g" % rho)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (problem.m,):
-        raise ValueError("y has shape %s, expected (%d,)" % (y.shape, problem.m))
+    rho = _setting(rho, "rho")
+    tol = _setting(tol, "tol")
+    y = _vector(y, problem.m, "y")
     if warm_start is None:
         x = problem.project_domains(np.zeros(problem.n))
     else:
-        x = np.asarray(warm_start, dtype=float).copy()
-        if x.shape != (problem.n,):
-            raise ValueError("warm_start has wrong shape")
+        x = _vector(warm_start, problem.n, "warm_start").copy()
     start = _gradient_and_prox(problem, x, y, rho)
     npg = _distance(x, start[1])
     iterations = newton_steps = 0
@@ -343,12 +327,15 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     warm start's gradient and prox are the kernel's start, and every
     point is evaluated once, so a Newton solve of k steps that meets
     ``tol_block`` makes k + 1 prox calls in all. A block without
-    curvature (nu_k zero) raises ValueError.
+    curvature (nu_k zero) raises ValueError, and so does a block index
+    k outside [0, K).
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive, got %g" % rho)
+    rho = _setting(rho, "rho")
+    tol_block = _setting(tol_block, "tol_block")
+    if not 0 <= k < problem.K:
+        raise ValueError("block k=%r is not in [0, K=%d)" % (k, problem.K))
     b = problem.blocks[k]
-    x = np.asarray(x, dtype=float)
+    x, y = _vector(x, problem.n, "x"), _vector(y, problem.m, "y")
     xk0 = x[b.sl]
     if coupling is None:
         coupling = problem.apply_E(x) - b.E @ xk0 - problem.q

@@ -26,6 +26,8 @@ from .prox import (
     Zero,
     NonnegIndicator,
     _Separable,
+    _setting,
+    _vector,
     merge_box,
     term_from_doc,
 )
@@ -89,9 +91,8 @@ class SmoothTerm:
             self.b = None
             self.value_fn = value_fn
             self.grad_fn = grad_fn
-        self.lipschitz_L = None if lipschitz_L is None else float(lipschitz_L)
-        if self.lipschitz_L is not None and self.lipschitz_L < 0:
-            raise ValueError("lipschitz_L must be nonnegative")
+        self.lipschitz_L = None if lipschitz_L is None else _setting(
+            lipschitz_L, "lipschitz_L", nonnegative=True)
 
     def g_value(self, z):
         if self.kind == "quadratic":
@@ -399,9 +400,7 @@ def add_slack_block(problem, sign):
 def objective(problem, x):
     """f(x) = sum_k g_k(A_k x_k) + h_k(x_k); +inf when x violates a
     domain constraint, never an exception."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise ValueError("x has shape %s, expected (%d,)" % (x.shape, problem.n))
+    x = _vector(x, problem.n, "x")
     hv = problem.form.value(x)
     if not np.isfinite(hv):
         return float("inf")
@@ -415,7 +414,8 @@ def residual_vector(problem, x):
 
 def feasibility_residual(problem, x):
     """||E x - q||_2."""
-    return float(np.linalg.norm(residual_vector(problem, x)))
+    return float(np.linalg.norm(residual_vector(
+        problem, _vector(x, problem.n, "x"))))
 
 
 @dataclass

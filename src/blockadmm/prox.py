@@ -215,6 +215,30 @@ def _distance(a, b):
     return math.sqrt(r.dot(r))
 
 
+def _setting(value, name, nonnegative=False):
+    """``value`` as a finite float above zero (or at least zero), else a
+    ValueError naming it: the one rule for every numeric setting."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not (math.isfinite(number)
+            and (number >= 0 if nonnegative else number > 0)):
+        raise ValueError("%s must be %s and finite, got %r" % (
+            name, "nonnegative" if nonnegative else "positive", value))
+    return number
+
+
+def _vector(value, n, name):
+    """``value`` as a float array of shape (n,), else a ValueError naming
+    it and both shapes: the one check of every iterate argument."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (n,):
+        raise ValueError("%s has shape %s, expected (%d,)"
+                         % (name, v.shape, n))
+    return v
+
+
 def _index(idx):
     """An index array as a slice when it is one contiguous run (basic
     slicing is cheaper than fancy indexing), or None when it is empty."""
@@ -446,10 +470,7 @@ class L1(ProxTerm):
     kind = "l1"
 
     def __init__(self, lam):
-        lam = float(lam)
-        if lam < 0:
-            raise ValueError("l1 weight must be nonnegative, got %g" % lam)
-        self.lam = lam
+        self.lam = _setting(lam, "l1 weight lam", nonnegative=True)
 
     def _part(self):
         return {"lam": self.lam}
@@ -490,10 +511,7 @@ class SparseGroup(GroupL2):
     kind = "sparse_group"
 
     def __init__(self, lam, groups, weights):
-        lam = float(lam)
-        if lam < 0:
-            raise ValueError("l1 weight must be nonnegative, got %g" % lam)
-        self.lam = lam
+        self.lam = _setting(lam, "l1 weight lam", nonnegative=True)
         super().__init__(groups, weights)
 
     def _part(self):
@@ -626,10 +644,9 @@ def prox(term, v, t):
     ----------
     term : ProxTerm
     v : array_like
-    t : float, must be positive.
+    t : float, positive and finite.
     """
-    if t <= 0:
-        raise ValueError("prox step must be positive, got %g" % t)
+    t = _setting(t, "prox step t")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     term.validate_dim(v.size)
     return term.prox(v, t)

@@ -43,7 +43,6 @@ an iteration that diverges or hits a cap ends the run before its record.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,6 +56,7 @@ from .lagrangian import (
     solve_block,
 )
 from .problem import check_assumptions, objective
+from .prox import _setting, _vector
 from .trace import TraceRecord
 
 __all__ = [
@@ -126,8 +126,7 @@ def nu_constant(problem, rho):
     """Curvature bound nu = max_k (L_k + rho * ||E_k||^2), where L_k is
     the composed-gradient Lipschitz constant of block k. rho = 0 yields
     the bare smooth curvature (zero when no smooth terms are present)."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative, got %g" % rho)
+    rho = _setting(rho, "rho", nonnegative=True)
     return max(b.nu(rho) for b in problem.blocks)
 
 
@@ -207,20 +206,6 @@ def _check_variant(variant):
                          % (variant, ", ".join(VARIANTS)))
 
 
-def _setting(value, name, nonnegative=False):
-    """``value`` as a finite float above zero (or at least zero); a
-    ValueError naming the setting otherwise, NaN and infinity included."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = float("nan")
-    if not (math.isfinite(number)
-            and (number >= 0 if nonnegative else number > 0)):
-        raise ValueError("%s must be %s and finite, got %r" % (
-            name, "nonnegative" if nonnegative else "positive", value))
-    return number
-
-
 def _resolve(problem, config):
     """The checked settings of ``config``: (auto, alpha, tol_block, beta).
 
@@ -269,6 +254,7 @@ def step(problem, variant, x, y, rho, alpha, beta=None):
     if auto:
         raise ValueError("step takes a nonnegative float alpha; "
                          "alpha='auto' is run's monitored scheme")
+    x, y = _vector(x, problem.n, "x"), _vector(y, problem.m, "y")
     x_next, w = _primal_pass(problem, variant, x, y, rho, tol_block, beta)
     res = problem.apply_E(x_next) - problem.q
     return x_next, _dual_ascent(y, alpha, res), w
@@ -324,15 +310,8 @@ def run(problem, config=None, init=None, **overrides):
     y = np.zeros(problem.m)
     if init is not None:
         x0, y0 = init
-        x0 = np.asarray(x0, dtype=float)
-        y0 = np.asarray(y0, dtype=float)
-        if x0.shape != (problem.n,) or y0.shape != (problem.m,):
-            raise ValueError(
-                "init shapes %s, %s do not match problem dimensions "
-                "(%d, %d)" % (x0.shape, y0.shape, problem.n, problem.m)
-            )
-        x = problem.project_domains(x0)
-        y = y0.copy()
+        x = problem.project_domains(_vector(x0, problem.n, "init x"))
+        y = _vector(y0, problem.m, "init y").copy()
     res = problem.apply_E(x) - problem.q
     records = []
     non_monotone = False

@@ -203,8 +203,8 @@ def test_gaps_polish_the_monitors_inner_minimizer(monkeypatch):
         for name in ("d_y", "delta_p", "delta_d"):
             assert abs(getattr(a, name) - getattr(b, name)) <= tol
     gamma = gamma_value(p, 1.0)
-    rows += check_gap_decrease(p, res.records, ref, 1.0, gamma)
-    rows_cleared += check_gap_decrease(p, cleared, ref, 1.0, gamma)
+    rows += check_gap_decrease(p, res.records, ref, gamma)
+    rows_cleared += check_gap_decrease(p, cleared, ref, gamma)
     assert len(rows) == len(rows_cleared) > 3 * len(res.records)
     assert [(row.r, row.check_name, row.passed) for row in rows] == \
         [(row.r, row.check_name, row.passed) for row in rows_cleared]
@@ -218,11 +218,11 @@ def test_gap_decrease_skips_records_without_gaps():
     res = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
               tol_outer=1e-13, max_iters=20)
     assert all(rec.xbar is not None for rec in res.records)
-    assert check_gap_decrease(p, res.records, ref, 1.0, gamma) == []
+    assert check_gap_decrease(p, res.records, ref, gamma) == []
     compute_gaps(p, res.records, ref, 1.0)
-    assert check_gap_decrease(p, res.records, ref, 1.0, gamma)
+    assert check_gap_decrease(p, res.records, ref, gamma)
     unfilled = [replace(rec, xbar=None) for rec in res.records]
-    assert check_gap_decrease(p, unfilled, ref, 1.0, gamma) == []
+    assert check_gap_decrease(p, unfilled, ref, gamma) == []
 
 
 def test_gap_computation_requires_iterate_states():
@@ -302,7 +302,7 @@ def test_gap_decrease_alpha_zero_reduces_to_descent():
               tol_outer=1e-13, max_iters=25)
     compute_gaps(p, res.records, ref, 1.0)
     gamma_half = 0.5 * gamma_value(p, 1.0)
-    rows = check_gap_decrease(p, res.records, ref, 1.0, gamma_half)
+    rows = check_gap_decrease(p, res.records, ref, gamma_half)
     assert rows and _fails(rows) == []
     assert len(rows) == 3 * (len(res.records) - 1)
     for row in rows:
@@ -325,7 +325,7 @@ def test_gap_decrease_estimates_hold_for_any_stepsize():
         res = run(p, variant="gauss_seidel", rho=1.0, alpha=alpha,
                   tol_outer=1e-13, max_iters=20)
         compute_gaps(p, res.records, ref, 1.0)
-        rows = check_gap_decrease(p, res.records, ref, 1.0, gamma_half)
+        rows = check_gap_decrease(p, res.records, ref, gamma_half)
         assert rows and _fails(rows) == []
     # alpha = 5 does break monotonicity, which the monitor must flag
     assert not _monotone_combined(res.records)
@@ -503,7 +503,8 @@ def test_alpha_bound_estimate_values_and_validation():
     assert alpha_bound_estimate(2.0, 3.0, 1.0, 1.5) == \
         pytest.approx(base / 4.0, rel=1e-12)
     for args in ((0.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, 1.0),
-                 (1.0, 1.0, 0.0, 1.0), (1.0, 1.0, 1.0, 0.0)):
+                 (1.0, 1.0, 0.0, 1.0), (1.0, 1.0, 1.0, 0.0),
+                 (float("inf"), 1.0, 1.0, 1.0)):
         with pytest.raises(ValueError, match="must be positive"):
             alpha_bound_estimate(*args)
 

@@ -1,7 +1,13 @@
-"""The package's public surface: one exported name per concept."""
+"""The package's public surface: one exported name per concept, and one
+rule for every setting it takes."""
 
 import importlib
+import inspect
+import re
 import types
+
+import numpy as np
+import pytest
 
 import blockadmm
 
@@ -48,3 +54,99 @@ def test_public_surface_is_pinned():
         stale = [name for name in getattr(module, "__all__", ())
                  if not hasattr(module, name)]
         assert not stale, (module_name, stale)
+
+
+
+# the parameter names that carry rho, a tolerance or the prox step
+_SETTINGS = {"rho", "tol", "tol_block", "tol_ref", "t"}
+
+
+def _setting_calls():
+    """Per exported function that takes a setting: a call whose keywords
+    are those settings, with valid defaults, and the settings for which
+    0 is in range."""
+    b = blockadmm
+    p = b.build_problem([b.Block(E=np.eye(2), nonsmooth=b.L1(0.5))],
+                        np.ones(2))
+    x, y = np.zeros(2), np.zeros(2)
+    ref = b.Reference(x=x, y=y, d_star=0.0, f_star=0.0, tol_ref=1e-10)
+    return {
+        "prox": (lambda t=1.0: b.prox(b.L1(1.0), x, t), ()),
+        "augmented_lagrangian": (
+            lambda rho=1.0: b.augmented_lagrangian(p, x, y, rho), ()),
+        "proximal_gradient": (
+            lambda rho=1.0: b.proximal_gradient(p, x, y, rho), ("rho",)),
+        "minimize_lagrangian": (
+            lambda rho=1.0, tol=1e-10: b.minimize_lagrangian(
+                p, y, rho, tol=tol), ()),
+        "solve_block": (
+            lambda rho=1.0, tol_block=1e-10: b.solve_block(
+                p, 0, x, y, rho, tol_block), ()),
+        "nu_constant": (lambda rho=1.0: b.nu_constant(p, rho), ("rho",)),
+        # rho = 0 leaves the smooth curvature, positive on smooth problems
+        "default_beta": (lambda rho=1.0: b.default_beta(p, rho), ("rho",)),
+        "step": (lambda rho=1.0: b.step(p, "gauss_seidel", x, y, rho, 0.1),
+                 ()),
+        "gamma_value": (lambda rho=1.0: b.gamma_value(p, rho), ()),
+        "constructive_sigma": (
+            lambda rho=1.0: b.constructive_sigma(p, rho), ()),
+        "compute_gaps": (
+            lambda rho=1.0: b.compute_gaps(p, [], ref, rho), ()),
+        "check_descent_lemma": (
+            lambda rho=1.0: b.check_descent_lemma(p, [], rho, 1.0), ()),
+        "check_function_value_convergence": (
+            lambda rho=1.0: b.check_function_value_convergence(
+                p, [], ref, rho), ()),
+        "check_dual_lipschitz": (
+            lambda rho=1.0, tol=1e-8: b.check_dual_lipschitz(
+                p, rho, n_pairs=1, tol=tol), ()),
+        "estimate_error_bound_constants": (
+            lambda rho=1.0, tol=1e-10: b.estimate_error_bound_constants(
+                p, rho, ref, n_samples=1, tol=tol), ()),
+        "reference_solution": (
+            lambda rho=1.0, tol_ref=1e-10: b.reference_solution(
+                p, rho, tol_ref=tol_ref), ()),
+        "run_diagnostics": (
+            lambda rho=1.0, tol_ref=1e-10: b.run_diagnostics(
+                p, [], rho, tol_ref=tol_ref), ()),
+    }
+
+
+def _misses(call, name, value):
+    """None when ``call`` rejects ``value`` for setting ``name`` with a
+    ValueError that names it, else what it did instead."""
+    try:
+        out = call(**{name: value})
+    except ValueError as e:
+        if re.search(r"\b%s\b" % re.escape(name), str(e)):
+            return None
+        return "ValueError not naming it: %s" % e
+    except Exception as e:    # reported below, with the call that raised
+        return "%s: %s" % (type(e).__name__, e)
+    return "returned %r" % (out,)
+
+
+def test_every_setting_is_rejected_when_nan_infinite_or_out_of_range():
+    # NaN fails every comparison: a hand-written `rho <= 0` lets it through
+    # to a NaN result or to an inner solve that runs to its 50,000 cap
+    calls = _setting_calls()
+    takes = {}
+    for name, fn in vars(blockadmm).items():
+        if inspect.isfunction(fn):
+            params = _SETTINGS & set(inspect.signature(fn).parameters)
+            if params:
+                takes[name] = params
+    assert {name: set(inspect.signature(call).parameters)
+            for name, (call, _) in calls.items()} == takes
+    misses = []
+    for fname, (call, zero_ok) in calls.items():
+        for name in inspect.signature(call).parameters:
+            bad = [float("nan"), float("inf"), -float("inf"), "abc", -1.0]
+            if name not in zero_ok:
+                bad.append(0.0)
+            for value in bad:
+                miss = _misses(call, name, value)
+                if miss:
+                    misses.append("%s(%s=%r): %s" % (fname, name, value,
+                                                      miss))
+    assert not misses, "\n".join(misses)

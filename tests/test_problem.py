@@ -78,8 +78,9 @@ def test_smooth_term_validation():
     with pytest.raises(ValueError):
         SmoothTerm(kind="oracle", value_fn=lambda z: 0.0,
                    grad_fn=lambda z: z * 0)
-    with pytest.raises(ValueError):
-        SmoothTerm(b=np.zeros(2), lipschitz_L=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lipschitz_L"):
+            SmoothTerm(b=np.zeros(2), lipschitz_L=bad)
 
 
 def test_problem_arrays_are_read_only():

@@ -507,8 +507,11 @@ def test_prox_optimality_certificate():
 # ---------------------------------------------------------------------------
 
 def test_term_validation_errors():
-    with pytest.raises(ValueError):
-        L1(-0.5)
+    for lam in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="l1 weight lam"):
+            L1(lam)
+        with pytest.raises(ValueError, match="l1 weight lam"):
+            SparseGroup(lam, [[0, 1]], [1.0])
     with pytest.raises(ValueError):
         GroupL2([[0, 1], [1, 2]], [1.0, 1.0])     # overlapping groups
     with pytest.raises(ValueError):

@@ -138,6 +138,24 @@ def test_solve_block_cap_error_carries_best():
         solve_block(p, 0, x, y, 0.0, 1e-10)
 
 
+def test_block_index_and_iterate_lengths_are_checked():
+    # k = -1 used to solve the last block, k = K to raise a bare IndexError,
+    # and a wrong length to fail inside NumPy's matmul
+    p = gen_group_l2(10, 3, 2, seed=0)
+    x, y = np.zeros(p.n), np.zeros(p.m)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=r"block k=%d is not in \[0, K=3\)"
+                           % k):
+            solve_block(p, k, x, y, 1.0, 1e-10)
+    for xy, msg in (
+            ((x[1:], y), r"x has shape \(5,\), expected \(6,\)"),
+            ((x, np.zeros(11)), r"y has shape \(11,\), expected \(10,\)")):
+        with pytest.raises(ValueError, match=msg):
+            solve_block(p, 0, *xy, 1.0, 1e-10)
+        with pytest.raises(ValueError, match=msg):
+            step(p, "gauss_seidel", *xy, 1.0, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Seidel steps
 # ---------------------------------------------------------------------------
