@@ -43,7 +43,7 @@ from .lagrangian import (
 )
 from .problem import objective
 from .prox import _setting, _vector
-from .solvers import _check_variant, nu_constant
+from .solvers import _beta, _check_variant, nu_constant
 from .trace import CheckRow
 
 __all__ = [
@@ -193,13 +193,14 @@ def compute_gaps(problem, records, reference, rho):
 
 def gamma_value(problem, rho, variant="gauss_seidel", beta=None):
     """Descent constant of the variant's primal pass, one of
-    ``solvers.VARIANTS``."""
+    ``solvers.VARIANTS``. The proximal variant's beta is checked as
+    ``run`` checks it: finite and above the curvature bound nu."""
     rho = _setting(rho, "rho")
     _check_variant(variant)
     if variant == "proximal":
         if beta is None:
             raise ValueError("the proximal descent constant needs beta")
-        return 0.5 * (beta - nu_constant(problem, rho))
+        return 0.5 * (_beta(problem, rho, beta) - nu_constant(problem, rho))
     return rho * min(b.lambda_min for b in problem.blocks)
 
 

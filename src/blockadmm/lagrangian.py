@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import objective, residual_vector
+from .problem import objective
 from .prox import _distance, _setting, _vector
 
 __all__ = [
@@ -74,7 +74,7 @@ class ConvergenceError(RuntimeError):
 
 def _lagrangian_parts(problem, x, y, rho):
     """(f(x), E x - q, L(x; y)) for a checked x and y."""
-    res = residual_vector(problem, x)
+    res = problem.apply_E(x) - problem.q
     f = objective(problem, x)
     return f, res, (f - float(np.dot(y, res))
                     + 0.5 * rho * float(np.dot(res, res)))
@@ -93,8 +93,8 @@ def _smooth_gradient(problem, x, y, rho):
 
         A_k^T grad g_k(A_k x_k) - E_k^T y + rho * E_k^T (E x - q).
     """
-    w = rho * residual_vector(problem, x) - y
-    out = problem.E_mat.T @ w
+    w = rho * (problem.apply_E(x) - problem.q) - y
+    out = problem.E_mat.T.dot(w)
     for b in problem.blocks:
         if b.smooth is not None:
             out[b.sl] += b.smooth_grad(x[b.sl])
@@ -280,7 +280,7 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
                 raise ValueError(_NO_CURVATURE % k)
         H = problem.hessian(rho)
         c = None if H is None else \
-            -(problem.E_mat.T @ (y + rho * problem.q)) - problem.lin_smooth
+            -problem.E_mat.T.dot(y + rho * problem.q) - problem.lin_smooth
         step_L = (max(b.lipschitz for b in problem.blocks)
                   + rho * problem.norm_E ** 2)
         x, npg, iterations, newton_steps = _newton_fista(
@@ -327,8 +327,8 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     warm start's gradient and prox are the kernel's start, and every
     point is evaluated once, so a Newton solve of k steps that meets
     ``tol_block`` makes k + 1 prox calls in all. A block without
-    curvature (nu_k zero) raises ValueError, and so does a block index
-    k outside [0, K).
+    curvature (nu_k zero) raises ValueError, and so do a block index k
+    outside [0, K) and a ``coupling`` that is not an m-vector.
     """
     rho = _setting(rho, "rho")
     tol_block = _setting(tol_block, "tol_block")
@@ -338,8 +338,10 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     x, y = _vector(x, problem.n, "x"), _vector(y, problem.m, "y")
     xk0 = x[b.sl]
     if coupling is None:
-        coupling = problem.apply_E(x) - b.E @ xk0 - problem.q
-    lin0 = rho * (b.E.T @ coupling) - b.E.T @ y
+        coupling = problem.apply_E(x) - b.E.dot(xk0) - problem.q
+    else:
+        coupling = _vector(coupling, problem.m, "coupling")
+    lin0 = rho * b.E.T.dot(coupling) - b.E.T.dot(y)
     if b.scalar_curvature is not None:
         a, e = b.scalar_curvature
         eta = a + rho * e
@@ -353,7 +355,7 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         g0 = lin0 - b.lin_smooth
 
         def grad_phi(u):
-            return H @ u + g0
+            return H.dot(u) + g0
     else:
         H = g0 = None
 

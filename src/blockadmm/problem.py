@@ -279,7 +279,7 @@ class Problem:
 
     def apply_E(self, x):
         """E x for a flat iterate x."""
-        return self.E_mat @ x
+        return self.E_mat.dot(x)
 
     def project_domains(self, x):
         """Project each block of x onto the domain of its nonsmooth term."""
@@ -409,13 +409,12 @@ def objective(problem, x):
 
 def residual_vector(problem, x):
     """E x - q."""
-    return problem.apply_E(np.asarray(x, dtype=float)) - problem.q
+    return problem.apply_E(_vector(x, problem.n, "x")) - problem.q
 
 
 def feasibility_residual(problem, x):
     """||E x - q||_2."""
-    return float(np.linalg.norm(residual_vector(
-        problem, _vector(x, problem.n, "x"))))
+    return float(np.linalg.norm(residual_vector(problem, x)))
 
 
 @dataclass

@@ -316,12 +316,25 @@ class _Separable(ProxTerm):
         self._order, self._group_lo, self._group_hi = (
             _index(order), lo[order], hi[order])
         self._starts = np.cumsum(sizes) - sizes
+        # every coordinate in a group, in order, and no shift or l1 weight
+        self._groups_only = (bool(groups) and self._shift is None
+                             and self._l1 is None
+                             and np.array_equal(order, np.arange(lo.size)))
         self._gid = np.repeat(np.arange(sizes.size), sizes)
-        # for the Newton kernel: each coordinate's group (-1: in no group)
-        # and the coordinates without an l1 weight
-        self._group_of = np.full(lo.size, -1)
-        self._group_of[order] = self._gid
+        # for the Newton kernel: the coordinates without an l1 weight and,
+        # with groups, each coordinate's group (-1: in no group), its
+        # group's weight (0 in no group), the negated same-group mask
+        # (-1 for two coordinates of one group, else -0) and a vector of
+        # ones, one per group and a last one for the ungrouped
         self._lam_zero = lam == 0.0
+        if groups:
+            group_of = np.full(lo.size, -1)
+            group_of[order] = self._gid
+            self._group_of = group_of
+            self._coord_weight = np.append(weights, 0.0)[group_of]
+            self._neg_same = -((group_of[:, None] == group_of)
+                               & (group_of >= 0)).astype(float)
+            self._ones = np.ones(weights.size + 1)
 
     @classmethod
     def of(cls, n, b=0.0, lam=0.0, lo=-np.inf, hi=np.inf, groups=(),
@@ -344,7 +357,7 @@ class _Separable(ProxTerm):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        if not ((self.lo <= x).all() and (x <= self.hi).all()):
+        if np.count_nonzero((self.lo <= x) & (x <= self.hi)) < x.size:
             return float("inf")
         val = float(self.b @ x + self.lam @ np.abs(x))
         if self._order is not None:
@@ -354,6 +367,11 @@ class _Separable(ProxTerm):
         return val
 
     def prox(self, v, t):
+        if self._groups_only:
+            # stage 1 of the ball-box prox writes a new vector
+            return _prox_ball_box(np.asarray(v, dtype=float),
+                                  t * self.weights, self.lo, self.hi,
+                                  self._starts, self._gid)
         u = np.array(v, dtype=float)
         if self._shift is not None:
             u -= t * self._shift
@@ -408,44 +426,62 @@ class _Separable(ProxTerm):
         v, p = start
         norm = _distance(u, p)
         steps = 0
-        order = self._order
+        lo, hi, order = self.lo, self.hi, self._order
+        n = lo.size
+        cb = c if self._shift is None else c + self.b
+        if order is not None:
+            # the group norms and a trailing 1, which ``_group_of`` = -1
+            # reads for an ungrouped coordinate: no division meets a zero
+            nrm_ext = self._ones.copy()
+            nrm = nrm_ext[:-1]
         while norm > tol and steps < _NEWTON_MAX_STEPS:
-            s = np.sign(v if self._shift is None else v - self.b)
-            free = (self.lo < p) & (p < self.hi) & ((p != 0.0)
-                                                    | self._lam_zero)
-            grouped = False
+            free = (lo < p) & (p < hi)
+            g = cb
+            if self._l1 is not None:
+                free &= (p != 0.0) | self._lam_zero
+                g = g + self.lam * np.sign(
+                    v if self._shift is None else v - self.b)
             if order is not None:
                 pg = p[order]
-                nrm = np.sqrt(np.add.reduceat(pg * pg, self._starts))
-                free[order] &= (nrm > 0.0)[self._gid]
-                grouped = bool(free[order].any())
+                np.sqrt(np.add.reduceat(pg * pg, self._starts), out=nrm)
+                nrm_of = nrm_ext[self._group_of]
+                free &= nrm_of > 0.0
             F = free.nonzero()[0]
-            u_new = np.where(free, 0.0, p)
+            u_new = p
             if F.size:
-                rhs = -(c[F] + self.b[F] + self.lam[F] * s[F]
-                        + H[F] @ u_new)
-                M = H[F[:, None], F]
-                if grouped:
+                whole = F.size == n
+                if whole:
+                    # every coordinate free: views instead of copies, and
+                    # no fixed coordinate moves to the right-hand side
+                    F = slice(None)
+                    rhs = -g
+                else:
+                    u_new = np.where(free, 0.0, p)
+                HF, pF = H[F], p[F]
+                M = HF[:, F]
+                if not whole:
+                    rhs = -(g[F] + HF.dot(u_new))
+                if order is not None:
                     # D_J = a_J (I - r_J r_J^T) with a_J = w_J / ||p_J||
                     # and r_J = p_J / ||p_J||, on the free coordinates
-                    gF = self._group_of[F]
-                    inF = gF >= 0
-                    nF = np.where(inF, nrm[gF], 1.0)
-                    aF = np.where(inF, self.weights[gF] / nF, 0.0)
-                    rF = np.where(inF, p[F] / nF, 0.0)
-                    same = (gF[:, None] == gF) & inF[:, None]
-                    D = np.diag(aF)
-                    D -= same * ((aF * rF)[:, None] * rF)
+                    nF = nrm_of[F]
+                    aF, rF = self._coord_weight[F] / nF, pF / nF
+                    D = np.multiply.outer(aF * rF, rF)
+                    D *= self._neg_same[F][:, F]
+                    D.reshape(-1)[::aF.size + 1] += aF
                     M = M + D
-                    rhs += D @ p[F] - aF * p[F]
+                    rhs += D.dot(pF) - aF * pF
                 try:
                     u_F = np.linalg.solve(M, rhs)
                 except np.linalg.LinAlgError:
                     break
-                if not _distance(M @ u_F, rhs) <= tol:
+                if not _distance(M.dot(u_F), rhs) <= tol:
                     break
-                u_new[F] = u_F
-                u_new = self.project_domain(u_new)
+                if whole:
+                    u_new = u_F
+                else:
+                    u_new[F] = u_F
+                u_new = np.minimum(np.maximum(u_new, lo), hi)
             steps += 1
             v_new, p_new = evaluate(u_new)
             norm_new = _distance(u_new, p_new)

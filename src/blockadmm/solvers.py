@@ -43,6 +43,7 @@ an iteration that diverges or hits a cap ends the run before its record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,7 +57,7 @@ from .lagrangian import (
     solve_block,
 )
 from .problem import check_assumptions, objective
-from .prox import _setting, _vector
+from .prox import _distance, _setting, _vector
 from .trace import TraceRecord
 
 __all__ = [
@@ -147,11 +148,11 @@ def _primal_gauss_seidel(problem, x, y, rho, tol_block):
     Ex = problem.apply_E(x_new)
     for k, b in enumerate(problem.blocks):
         xk_old = x_new[b.sl].copy()
-        coupling = Ex - b.E @ xk_old - problem.q
+        coupling = Ex - b.E.dot(xk_old) - problem.q
         xk = solve_block(problem, k, x_new, y, rho, tol_block,
                          coupling=coupling)
         x_new[b.sl] = xk
-        Ex = Ex + b.E @ (xk - xk_old)
+        Ex = Ex + b.E.dot(xk - xk_old)
     return x_new
 
 
@@ -162,11 +163,11 @@ def _primal_proximal(problem, x, y, rho, beta):
     Ex = problem.apply_E(x_new)
     for b in problem.blocks:
         xk_old = x_new[b.sl].copy()
-        grad = (b.smooth_grad(xk_old) - b.E.T @ y
-                + rho * (b.E.T @ (Ex - problem.q)))
+        grad = (b.smooth_grad(xk_old) - b.E.T.dot(y)
+                + rho * b.E.T.dot(Ex - problem.q))
         xk = b.form.prox(xk_old - grad / beta, 1.0 / beta)
         x_new[b.sl] = xk
-        Ex = Ex + b.E @ (xk - xk_old)
+        Ex = Ex + b.E.dot(xk - xk_old)
     return x_new
 
 
@@ -175,7 +176,7 @@ def _jacobi_direction(problem, x, y, rho, tol_block):
     w = x.copy()
     Ex = problem.apply_E(x)
     for k, b in enumerate(problem.blocks):
-        coupling = Ex - b.E @ x[b.sl] - problem.q
+        coupling = Ex - b.E.dot(x[b.sl]) - problem.q
         w[b.sl] = solve_block(problem, k, x, y, rho, tol_block,
                               coupling=coupling)
     return w
@@ -229,14 +230,20 @@ def _resolve(problem, config):
         if config.beta is None or config.beta == "auto":
             beta = default_beta(problem, rho)
         else:
-            beta = _setting(config.beta, "beta")
-            nu = nu_constant(problem, rho)
-            if beta <= nu:
-                raise ValueError(
-                    "proximal stepsize parameter beta=%g must exceed the "
-                    "curvature bound nu=%g" % (beta, nu)
-                )
+            beta = _beta(problem, rho, config.beta)
     return auto, alpha, tol_block, beta
+
+
+def _beta(problem, rho, beta):
+    """``beta`` as a finite float above the curvature bound nu at a
+    checked rho, else a ValueError naming it: the one rule for the
+    proximal variant's stepsize parameter."""
+    beta = _setting(beta, "beta")
+    nu = nu_constant(problem, rho)
+    if beta <= nu:
+        raise ValueError("proximal stepsize parameter beta=%g must exceed "
+                         "the curvature bound nu=%g" % (beta, nu))
+    return beta
 
 
 def step(problem, variant, x, y, rho, alpha, beta=None):
@@ -323,9 +330,9 @@ def run(problem, config=None, init=None, **overrides):
     # the finiteness check below reports a diverging run's overflow
     with np.errstate(all="ignore"):
         while True:
-            pg_norm = float(np.linalg.norm(
-                proximal_gradient(problem, x, y, rho)))
-            feas = float(np.linalg.norm(res))
+            pg = proximal_gradient(problem, x, y, rho)
+            pg_norm = math.sqrt(pg.dot(pg))
+            feas = math.sqrt(res.dot(res))
             if max(pg_norm, feas) <= config.tol_outer:
                 termination = "converged"
                 break
@@ -411,7 +418,7 @@ def run(problem, config=None, init=None, **overrides):
                 r=r,
                 L_val=L_val,
                 feas=feas,
-                step=float(np.linalg.norm(x_next - x)),
+                step=_distance(x_next, x),
                 pg=pg_norm,
                 d_y=record_d,
                 f_val=f_val,

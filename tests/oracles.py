@@ -14,6 +14,11 @@ step s locates it to within a few multiples of s (the refinement loop
 in grid_prox_2d re-expands its window whenever the incumbent lands on a
 window edge, so a shallow valley cannot push the true minimizer outside
 the searched region).
+
+``newton_reference`` is of another kind: the active-set Newton step of
+the separable form written the plain way, with ``np.diag``, ``np.where``
+and one loop over the groups, against which the kernel's bookkeeping is
+checked.
 """
 
 import numpy as np
@@ -138,3 +143,62 @@ def bisection_ball_box_prox(v, t, lo, hi, groups, weights, iters=200):
                 s_hi = mid
         out[J] = clipped(0.5 * (s_lo + s_hi))
     return out
+
+
+def newton_reference(form, H, c, u, tol, evaluate, start, max_steps=50):
+    """The safeguarded active-set Newton loop of ``_Separable.newton`` in
+    its plain formulation, from the form's public arrays ``b``, ``lam``,
+    ``lo``, ``hi``, ``groups`` and ``weights``.
+
+    Each step fixes every coordinate the prox point p clamps, zeroes with
+    an l1 weight, or zeroes with its group, and solves
+    (H_FF + D_FF) u_F = -(c + b + lam * sign(v - b))_F - H_FA p_A
+    - (w_J p_J / ||p_J||)_F + D_FF p_F on the free set F, with
+    D = diag(a) - same * (a r)(r)^T, a_i = w_J / ||p_J|| and
+    r_i = p_i / ||p_J|| on each free coordinate of a group J (0 off the
+    groups). A step needs a linear residual at most ``tol`` and a
+    smaller prox-gradient residual. Returns (point, residual, steps).
+    """
+    lo, hi, b, lam = form.lo, form.hi, form.b, form.lam
+    n = lo.size
+    group = np.full(n, -1)
+    for j, J in enumerate(form.groups):
+        group[J] = j
+    v, p = start
+    norm = np.linalg.norm(u - p)
+    steps = 0
+    while norm > tol and steps < max_steps:
+        s = np.sign(v - b)
+        nrm = np.array([np.sqrt(np.sum(p[J] * p[J])) for J in form.groups]
+                       + [1.0])         # the last entry: no group
+        free = (lo < p) & (p < hi) & ((p != 0.0) | (lam == 0.0))
+        free &= nrm[group] > 0.0
+        F = np.flatnonzero(free)
+        u_new = np.where(free, 0.0, p)
+        if F.size:
+            rhs = -(c[F] + b[F] + lam[F] * s[F] + H[F] @ u_new)
+            M = H[np.ix_(F, F)]
+            gF = group[F]
+            inF = gF >= 0
+            nF = nrm[gF]
+            aF = np.where(inF, np.append(form.weights, 0.0)[gF] / nF, 0.0)
+            rF = np.where(inF, p[F] / nF, 0.0)
+            same = (gF[:, None] == gF) & inF[:, None]
+            D = np.diag(aF) - same * np.outer(aF * rF, rF)
+            M = M + D
+            rhs += D @ p[F] - aF * p[F]
+            try:
+                u_F = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:
+                break
+            if not np.linalg.norm(M @ u_F - rhs) <= tol:
+                break
+            u_new[F] = u_F
+            u_new = np.clip(u_new, lo, hi)
+        steps += 1
+        v_new, p_new = evaluate(u_new)
+        norm_new = np.linalg.norm(u_new - p_new)
+        if not norm_new < norm:
+            break
+        u, norm, v, p = u_new, norm_new, v_new, p_new
+    return u, norm, steps

@@ -250,6 +250,20 @@ def test_gamma_value_by_variant():
         gamma_value(p, 1.0, variant="bogus")
 
 
+def test_gamma_value_checks_beta_as_run_does():
+    # an unchecked beta gave NaN, or a negative descent constant (-8.159
+    # for beta = 0.001 here) that every descent and gap row then used
+    p = gen_group_l2(10, 3, 2, seed=0)
+    nu = nu_constant(p, 1.0)
+    for beta in (float("nan"), float("inf"), -float("inf"), 0.001, nu):
+        with pytest.raises(ValueError, match=r"\bbeta\b"):
+            gamma_value(p, 1.0, variant="proximal", beta=beta)
+        with pytest.raises(ValueError, match=r"\bbeta\b"):
+            run(p, variant="proximal", beta=beta, alpha=0.1, max_iters=1)
+    assert gamma_value(p, 1.0, variant="proximal", beta=2.0 * nu) == \
+        pytest.approx(0.5 * nu)
+
+
 def test_descent_ratio_on_exact_quadratic_block():
     # one free quadratic block with E = I: each sweep lands on the exact
     # minimizer, so the drop is exactly (rho/2) * step^2

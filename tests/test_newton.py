@@ -15,19 +15,22 @@ loop. Every point the kernel visits costs one prox, evaluated once by
 its caller: prox calls are counted against the Newton steps solved.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockadmm.diagnostics import reference_solution
+from blockadmm.diagnostics import reference_solution, run_diagnostics
 from blockadmm.generators import gen_group_l2, gen_lasso
 from blockadmm.lagrangian import minimize_lagrangian, proximal_gradient
 from blockadmm.problem import Block, SmoothTerm, build_problem, objective
 from blockadmm.prox import (L1, GroupL2, Linear, NonnegIndicator,
                             SparseGroup, _Separable)
 from blockadmm import solvers
+
+from oracles import newton_reference
 
 TOL = 1e-10
 
@@ -150,6 +153,87 @@ def test_dual_function_newton_agrees_with_block_sweeps_on_zero_blocks(case):
     # zero-term blocks, often with rank-deficient coupling, where the
     # Newton system is often singular and FISTA does most of the work
     _dual_agreement(case)
+
+
+@st.composite
+def newton_cases(draw):
+    """A form on at most 6 coordinates with l1 weights, a shift b, finite
+    or partly infinite bounds and groups over all or part of the
+    coordinates, each drawn on or off (grouped coordinates carry no bound
+    when there are l1 weights, as in every admitted term); heavy group
+    weights make the prox zero whole groups. With the form come a
+    positive semidefinite H, often singular, a linear term c, a start u
+    in the domain and a tolerance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 6))
+    l1, shift = draw(st.booleans()), draw(st.booleans())
+    bounds = draw(st.sampled_from(("none", "finite", "part")))
+    cover = draw(st.sampled_from(("none", "all", "part")))
+    groups, weights = [], []
+    if cover != "none":
+        perm = rng.permutation(n)[int(cover == "part"):]
+        groups = [J for J in np.split(
+            perm, np.flatnonzero(rng.random(perm.size) < 0.4)) if J.size]
+        weights = rng.uniform(0.1, 1.0, len(groups)) * (
+            10.0 if draw(st.booleans()) else 1.0)
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    if bounds != "none":
+        lo = rng.uniform(-2.0, 0.5, n)
+        hi = lo + rng.uniform(0.1, 2.0, n)
+        if bounds == "part":
+            lo[rng.random(n) < 0.4] = -np.inf
+            hi[rng.random(n) < 0.4] = np.inf
+    if l1 and groups:
+        grouped = np.concatenate(groups)
+        lo[grouped], hi[grouped] = -np.inf, np.inf
+    form = _Separable.of(
+        n, b=rng.standard_normal(n) if shift else 0.0,
+        lam=rng.uniform(0.1, 1.0, n) * (rng.random(n) < 0.7) if l1 else 0.0,
+        lo=lo, hi=hi, groups=groups, weights=weights)
+    A = rng.standard_normal((draw(st.integers(1, n + 2)), n))
+    u = form.project_domain(rng.normal(scale=3.0, size=n))
+    return (form, A.T @ A, rng.normal(scale=3.0, size=n), u,
+            10.0 ** rng.uniform(-10.0, -7.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(newton_cases())
+def test_newton_kernel_matches_the_plain_reference_step(case):
+    # the kernel's bookkeeping (one c + b, the l1 sign only with l1
+    # weights, views when every coordinate is free, the group curvature
+    # from per-coordinate weights and a same-group mask, a direct clip)
+    # against the textbook formulation, from the same start
+    form, H, c, u, tol = case
+
+    def evaluate(z):
+        v = z - (H @ z + c)
+        return v, form.prox(v, 1.0)
+
+    got = form.newton(H, c, u, tol, evaluate, evaluate(u))
+    ref = newton_reference(form, H, c, u, tol, evaluate, evaluate(u))
+    assert got[2] == ref[2]
+    assert np.linalg.norm(got[0] - ref[0]) <= \
+        1e-13 * (1.0 + np.linalg.norm(ref[0]))
+    assert abs(got[1] - ref[1]) <= 1e-13 * (1.0 + ref[1])
+
+
+def test_newton_kernel_never_divides_by_a_zero_group_norm():
+    # the curvature divides by each free group's norm; a group the prox
+    # zeroes is never free, and an ungrouped coordinate reads a norm of 1
+    rng = np.random.default_rng(0)
+    blocks = [Block(E=rng.standard_normal((4, 2)),
+                    nonsmooth=GroupL2([[0, 1]], [w]), box=(-1.0, 1.0))
+              for w in (50.0, 0.1, 0.1)]
+    p = build_problem(blocks, rng.standard_normal(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize_lagrangian(p, rng.standard_normal(4), 1.0, tol=TOL,
+                                  warm_start=np.full(p.n, 1.0))
+        assert res.newton_steps > 0 and res.prox_grad_norm_at_exit <= TOL
+        assert np.all(res.x_of_y[:2] == 0.0) and np.any(res.x_of_y[2:])
+        q = gen_group_l2(30, 3, 2, seed=0)
+        run_ = solvers.run(q, variant="gauss_seidel", rho=1.0, alpha="auto")
+        run_diagnostics(q, run_.records, 1.0)
 
 
 def _monitor_solves(monkeypatch, problem, **config):

@@ -206,8 +206,10 @@ def test_feasibility_residual_values():
     assert feasibility_residual(p, np.array([1.0, 1.0])) == 0.0
     assert np.array_equal(residual_vector(p, np.zeros(2)),
                           np.array([-1.0, -1.0]))
-    with pytest.raises(ValueError):
-        feasibility_residual(p, np.zeros(5))
+    for check in (feasibility_residual, residual_vector):
+        with pytest.raises(ValueError,
+                           match=r"x has shape \(5,\), expected \(2,\)"):
+            check(p, np.zeros(5))
     # residual moves continuously under scaling
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2)

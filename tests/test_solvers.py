@@ -154,6 +154,10 @@ def test_block_index_and_iterate_lengths_are_checked():
             solve_block(p, 0, *xy, 1.0, 1e-10)
         with pytest.raises(ValueError, match=msg):
             step(p, "gauss_seidel", *xy, 1.0, 0.1)
+    # a short coupling residual used to fail inside NumPy's matmul
+    with pytest.raises(ValueError,
+                       match=r"coupling has shape \(3,\), expected \(10,\)"):
+        solve_block(p, 0, x, y, 1.0, 1e-10, coupling=np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
