@@ -316,11 +316,12 @@ class _Separable(ProxTerm):
         self._order, self._group_lo, self._group_hi = (
             _index(order), lo[order], hi[order])
         self._starts = np.cumsum(sizes) - sizes
-        # every coordinate in a group, in order, and no shift or l1 weight
+        self._gid = np.repeat(np.arange(sizes.size), sizes)
+        # every coordinate in a group, in order, and no shift or l1 weight:
+        # the prox is one ball-box call on v itself
         self._groups_only = (bool(groups) and self._shift is None
                              and self._l1 is None
                              and np.array_equal(order, np.arange(lo.size)))
-        self._gid = np.repeat(np.arange(sizes.size), sizes)
         # for the Newton kernel: the coordinates without an l1 weight and,
         # with groups, each coordinate's group (-1: in no group), its
         # group's weight (0 in no group), the negated same-group mask
