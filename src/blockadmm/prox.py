@@ -450,18 +450,16 @@ class _Separable(ProxTerm):
             F = free.nonzero()[0]
             u_new = p
             if F.size:
+                # every coordinate free: views instead of copies, and no
+                # fixed coordinate moves to the right-hand side
                 whole = F.size == n
                 if whole:
-                    # every coordinate free: views instead of copies, and
-                    # no fixed coordinate moves to the right-hand side
                     F = slice(None)
-                    rhs = -g
                 else:
                     u_new = np.where(free, 0.0, p)
                 HF, pF = H[F], p[F]
                 M = HF[:, F]
-                if not whole:
-                    rhs = -(g[F] + HF.dot(u_new))
+                rhs = -g if whole else -(g[F] + HF.dot(u_new))
                 if order is not None:
                     # D_J = a_J (I - r_J r_J^T) with a_J = w_J / ||p_J||
                     # and r_J = p_J / ||p_J||, on the free coordinates
