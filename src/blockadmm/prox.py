@@ -360,7 +360,9 @@ class _Separable(ProxTerm):
         x = np.asarray(x, dtype=float)
         if np.count_nonzero((self.lo <= x) & (x <= self.hi)) < x.size:
             return float("inf")
-        val = float(self.b @ x + self.lam @ np.abs(x))
+        val = 0.0
+        if self._shift is not None or self._l1 is not None:
+            val = float(self.b @ x + self.lam @ np.abs(x))
         if self._order is not None:
             xg = x[self._order]
             val += float(self.weights @ np.sqrt(
