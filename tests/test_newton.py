@@ -13,6 +13,9 @@ is switched off by replacing it with one that returns its starting
 point and evaluation, which also switches off its retries inside the
 loop. Every point the kernel visits costs one prox, evaluated once by
 its caller: prox calls are counted against the Newton steps solved.
+Step by step, the kernel must also match the plain formulation of
+``oracles.newton_reference`` from the same start, and it must never
+divide by the norm of a group its prox point zeroes.
 """
 
 import warnings
@@ -232,8 +235,9 @@ def test_newton_kernel_never_divides_by_a_zero_group_norm():
         assert res.newton_steps > 0 and res.prox_grad_norm_at_exit <= TOL
         assert np.all(res.x_of_y[:2] == 0.0) and np.any(res.x_of_y[2:])
         q = gen_group_l2(30, 3, 2, seed=0)
-        run_ = solvers.run(q, variant="gauss_seidel", rho=1.0, alpha="auto")
-        run_diagnostics(q, run_.records, 1.0)
+        result = solvers.run(q, variant="gauss_seidel", rho=1.0,
+                             alpha="auto")
+        run_diagnostics(q, result.records, 1.0)
 
 
 def _monitor_solves(monkeypatch, problem, **config):
