@@ -41,7 +41,7 @@ from .lagrangian import (
     minimize_lagrangian,
     proximal_gradient,
 )
-from .problem import objective
+from .problem import _objective
 from .prox import _setting, _vector
 from .solvers import _beta, _check_variant, nu_constant
 from .trace import CheckRow
@@ -117,7 +117,7 @@ def reference_solution(problem, rho, tol_ref=1e-10, y0=None,
                 x=inner.x_of_y,
                 y=y,
                 d_star=inner.d_value,
-                f_star=objective(problem, inner.x_of_y),
+                f_star=_objective(problem, inner.x_of_y),
                 tol_ref=tol_ref,
             )
         y_last, y = y, y + rho * inner.dual_grad

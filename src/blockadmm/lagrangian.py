@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import objective
+from .problem import _objective
 from .prox import _distance, _setting, _vector
 
 __all__ = [
@@ -75,7 +75,7 @@ class ConvergenceError(RuntimeError):
 def _lagrangian_parts(problem, x, y, rho):
     """(f(x), E x - q, L(x; y)) for a checked x and y."""
     res = problem.apply_E(x) - problem.q
-    f = objective(problem, x)
+    f = _objective(problem, x)
     return f, res, (f - float(np.dot(y, res))
                     + 0.5 * rho * float(np.dot(res, res)))
 
@@ -153,7 +153,7 @@ _MAX_ITER = 50000
 
 
 def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
-                  start=None):
+                  start=None, inverses=None):
     """Minimize phi(u) + h(u), with ``grad`` the gradient of the smooth
     convex phi, 1/``step`` a bound on its Lipschitz constant and h the
     separable ``form``; when phi is the quadratic 1/2 u^T H u + c^T u,
@@ -163,14 +163,15 @@ def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
     grad(z) and p = prox_h(v, 1), and its residual is ||z - p||;
     ``start`` is that evaluation at ``u`` when the caller already has it.
     With H, the active-set Newton kernel (``_Separable.newton``) runs
-    first, from ``u``. A start or Newton point that meets ``tol`` is the
-    result. Otherwise restarted FISTA (Beck & Teboulle, SIAM J. Imaging
-    Sci. 2, 2009; restart on the gradient-mapping test of O'Donoghue &
-    Candes, Found. Comput. Math. 15, 2015) runs from the best point so
-    far. It tests the residual when its step is small and at every 8th
-    iteration; there, with H, Newton is retried from the new point, and
-    a retried point whose residual is below the best seen replaces the
-    iterate and resets the momentum.
+    first, from ``u``, with ``inverses`` its memo of free-set inverses of
+    H when the caller keeps one. A start or Newton point that meets
+    ``tol`` is the result. Otherwise restarted FISTA (Beck & Teboulle,
+    SIAM J. Imaging Sci. 2, 2009; restart on the gradient-mapping test of
+    O'Donoghue & Candes, Found. Comput. Math. 15, 2015) runs from the
+    best point so far. It tests the residual when its step is small and
+    at every 8th iteration; there, with H, Newton is retried from the new
+    point, and a retried point whose residual is below the best seen
+    replaces the iterate and resets the momentum.
 
     Returns (point, its residual, FISTA iterations, Newton steps); the
     iterations are 0 when the start or Newton met ``tol``. After
@@ -185,7 +186,8 @@ def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
         start = evaluate(u)
     newton_steps = 0
     if H is not None:        # a start that meets tol takes no step
-        u, res_norm, newton_steps = form.newton(H, c, u, tol, evaluate, start)
+        u, res_norm, newton_steps = form.newton(H, c, u, tol, evaluate,
+                                                start, inverses)
     else:
         res_norm = _distance(u, start[1])
     if res_norm <= tol:
@@ -208,7 +210,8 @@ def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
             if res_norm <= tol:
                 return u_new, res_norm, it + 1, newton_steps
             if H is not None:
-                u_n, res_n, steps = form.newton(H, c, u_new, tol, evaluate, e)
+                u_n, res_n, steps = form.newton(H, c, u_new, tol, evaluate,
+                                                e, inverses)
                 newton_steps += steps
                 if res_n < best[0]:
                     best = (res_n, u_n)
@@ -246,13 +249,16 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
     groups included. Each step fixes the coordinates the prox zeroes or
     clamps, and the groups it zeroes, and solves for the rest with H =
     ``problem.hessian(rho)`` plus the curvature of each nonzero group's
-    norm; it is taken only if its linear solve is accurate to ``tol``
-    and the full prox-gradient residual falls. A Newton point that meets
-    ``tol`` is the result. Otherwise FISTA runs from Newton's best point
-    with step 1 / (max_k L_k + rho ||E||^2), a bound on the Lipschitz
-    constant of the smooth gradient, and retries Newton at each residual
-    test. ``newton_steps`` in the result counts every Newton step solved
-    and ``iterations`` the FISTA iterations. A block without curvature
+    norm; without groups it multiplies by the inverse of H's free-set
+    submatrix, which the problem keeps beside H while the free set holds
+    (an LU solve where the inverse fails). A step is taken only if its
+    linear solve is accurate to ``tol`` and the full prox-gradient
+    residual falls. A Newton point that meets ``tol`` is the result.
+    Otherwise FISTA runs from Newton's best point with step
+    1 / (max_k L_k + rho ||E||^2), a bound on the Lipschitz constant of
+    the smooth gradient, and retries Newton at each residual test.
+    ``newton_steps`` in the result counts every Newton step solved and
+    ``iterations`` the FISTA iterations. A block without curvature
     (``_BuiltBlock.nu(rho)`` zero) raises the ValueError of
     :func:`solve_block` once the start misses ``tol``. Every point the
     solve tests (the warm start, each Newton point, each FISTA point whose
@@ -278,14 +284,15 @@ def minimize_lagrangian(problem, y, rho, tol=1e-10, warm_start=None,
         for k, b in enumerate(problem.blocks):
             if b.nu(rho) <= 0:
                 raise ValueError(_NO_CURVATURE % k)
-        H = problem.hessian(rho)
+        H, inverses = problem._hessian_and_inverses(rho)
         c = None if H is None else \
             -problem.E_mat.T.dot(y + rho * problem.q) - problem.lin_smooth
         step_L = (max(b.lipschitz for b in problem.blocks)
                   + rho * problem.norm_E ** 2)
         x, npg, iterations, newton_steps = _newton_fista(
             problem.form, H, c, lambda z: _smooth_gradient(problem, z, y, rho),
-            1.0 / step_L, x, tol, max_iter, "inner minimization", start)
+            1.0 / step_L, x, tol, max_iter, "inner minimization", start,
+            inverses)
     _, res, d_value = _lagrangian_parts(problem, x, y, rho)
     return InnerSolveResult(
         x_of_y=x,

@@ -17,6 +17,7 @@ All matrices are dense; the model targets small and medium instances
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -215,9 +216,13 @@ class _BuiltBlock:
 
 class Problem:
     """A validated block problem. Its data are immutable after build and
-    safe to share. The one per-rho state is the memo of ``hessian`` for
-    the last rho, which changes no result; each block's curvature facts
-    (``scalar_curvature``, the bound ``nu(rho)``) are fixed at build.
+    safe to share. The one per-rho state is one tuple for the last rho:
+    ``hessian(rho)`` and, beside it, the Newton kernel's one-entry memo
+    of the inverse of its free-set submatrix (``_Separable.newton``),
+    replaced together when rho changes. Neither changes a result: the
+    kernel uses the inverse whether it is new or kept. Each block's
+    curvature facts (``scalar_curvature``, the bound ``nu(rho)``) are
+    fixed at build.
 
     Attributes
     ----------
@@ -253,7 +258,9 @@ class Problem:
         affine = all(b.hess_smooth is not None for b in blocks)
         self.lin_smooth = np.concatenate(
             [b.lin_smooth for b in blocks]) if affine else None
-        self._hessian = None          # (rho, hessian(rho)) of the last rho
+        # (rho, hessian(rho), its inverse memo) of the last rho
+        self._hessian = None
+        self._smooth_blocks = [b for b in blocks if b.smooth is not None]
         for arr in (self.q, self.E_mat):
             arr.setflags(write=False)
         for b in blocks:
@@ -266,16 +273,21 @@ class Problem:
         the blocks' hess_smooth plus rho * E^T E, or None when some
         block's smooth gradient is not affine (then ``lin_smooth`` is
         None too). Only the last rho is kept."""
+        return self._hessian_and_inverses(rho)[0]
+
+    def _hessian_and_inverses(self, rho):
+        """(hessian(rho), the one-entry memo of the Newton kernel's
+        free-set inverses of it), or (None, None); both are replaced
+        together when rho changes."""
         if self.lin_smooth is None:
-            return None
+            return None, None
         memo = self._hessian
-        if memo is not None and memo[0] == rho:
-            return memo[1]
-        H = rho * (self.E_mat.T @ self.E_mat)
-        for b in self.blocks:
-            H[b.sl, b.sl] += b.hess_smooth
-        self._hessian = (rho, H)
-        return H
+        if memo is None or memo[0] != rho:
+            H = rho * (self.E_mat.T @ self.E_mat)
+            for b in self.blocks:
+                H[b.sl, b.sl] += b.hess_smooth
+            memo = self._hessian = (rho, H, [None])
+        return memo[1], memo[2]
 
     def apply_E(self, x):
         """E x for a flat iterate x."""
@@ -400,11 +412,16 @@ def add_slack_block(problem, sign):
 def objective(problem, x):
     """f(x) = sum_k g_k(A_k x_k) + h_k(x_k); +inf when x violates a
     domain constraint, never an exception."""
-    x = _vector(x, problem.n, "x")
+    return _objective(problem, _vector(x, problem.n, "x"))
+
+
+def _objective(problem, x):
+    """:func:`objective` at a checked x."""
     hv = problem.form.value(x)
-    if not np.isfinite(hv):
+    if not math.isfinite(hv):
         return float("inf")
-    return float(sum(b.smooth_value(x[b.sl]) for b in problem.blocks) + hv)
+    return float(sum(b.smooth_value(x[b.sl])
+                     for b in problem._smooth_blocks) + hv)
 
 
 def residual_vector(problem, x):

@@ -106,8 +106,9 @@ def _check_groups(groups, weights):
 _TINY = np.finfo(float).tiny
 
 
-def _prox_ball_box(v, wt, lo, hi, starts, gid):
-    """Exact prox of sum_J wt_J * ||u_J||_2 + indicator of [lo, hi] at v.
+def _prox_ball_box(v, wt, floor, lo, hi, starts, gid):
+    """Exact prox of sum_J wt_J * ||u_J||_2 + indicator of [lo, hi] at v,
+    with ``floor`` = max(wt, tiny).
 
     Coordinates are laid out group by group: group J starts at
     ``starts[J]`` and ``gid`` maps each coordinate to its group. Stage 1,
@@ -121,7 +122,7 @@ def _prox_ball_box(v, wt, lo, hi, starts, gid):
     nrm = np.sqrt(np.add.reduceat(v * v, starts))
     # max(nrm, wt, tiny) keeps the ratio exact where nrm > wt, equal to 1
     # (the zero shrinkage) where nrm <= wt, and never divides by zero.
-    u = v * (1.0 - wt / np.maximum(nrm, np.maximum(wt, _TINY)))[gid]
+    u = v * (1.0 - wt / np.maximum(nrm, floor))[gid]
     inside = (lo <= u) & (u <= hi)
     if np.count_nonzero(inside) == inside.size:
         return u
@@ -317,6 +318,11 @@ class _Separable(ProxTerm):
             _index(order), lo[order], hi[order])
         self._starts = np.cumsum(sizes) - sizes
         self._gid = np.repeat(np.arange(sizes.size), sizes)
+        # the group weights' floor at the inner solve's prox step t = 1
+        self._weight_floor = np.maximum(weights, _TINY)
+        # without a finite bound the Newton kernel skips its bound test
+        # and its clip, which change no finite point
+        self._bounded = bool(np.isfinite(lo).any() or np.isfinite(hi).any())
         # every coordinate in a group, in order, and no shift or l1 weight:
         # the prox is one ball-box call on v itself
         self._groups_only = (bool(groups) and self._shift is None
@@ -370,11 +376,17 @@ class _Separable(ProxTerm):
         return val
 
     def prox(self, v, t):
-        if self._groups_only:
-            # stage 1 of the ball-box prox writes a new vector
-            return _prox_ball_box(np.asarray(v, dtype=float),
-                                  t * self.weights, self.lo, self.hi,
-                                  self._starts, self._gid)
+        if self._order is not None:
+            if t == 1.0:
+                wt, floor = self.weights, self._weight_floor
+            else:
+                wt = t * self.weights
+                floor = np.maximum(wt, _TINY)
+            if self._groups_only:
+                # stage 1 of the ball-box prox writes a new vector
+                return _prox_ball_box(np.asarray(v, dtype=float), wt, floor,
+                                      self.lo, self.hi, self._starts,
+                                      self._gid)
         u = np.array(v, dtype=float)
         if self._shift is not None:
             u -= t * self._shift
@@ -385,15 +397,15 @@ class _Separable(ProxTerm):
                 np.maximum(u[self._clip], self._clip_lo), self._clip_hi)
         if self._order is not None:
             u[self._order] = _prox_ball_box(
-                u[self._order], t * self.weights, self._group_lo,
-                self._group_hi, self._starts, self._gid)
+                u[self._order], wt, floor, self._group_lo, self._group_hi,
+                self._starts, self._gid)
         return u
 
     def project_domain(self, v):
         return np.minimum(np.maximum(np.asarray(v, dtype=float), self.lo),
                           self.hi)
 
-    def newton(self, H, c, u, tol, evaluate, start):
+    def newton(self, H, c, u, tol, evaluate, start, inverses=None):
         """Safeguarded active-set Newton for min_u 1/2 u^T H u + c^T u + h(u)
         with H positive semidefinite and h this form.
 
@@ -423,6 +435,16 @@ class _Separable(ProxTerm):
         a residual that does not fall or the step cap ends the loop. (A
         repeated active set rebuilds an earlier, worse point, so the
         residual test ends the loop there too.)
+
+        A step solves by LU, except on a group-free form given
+        ``inverses``: a one-entry list the caller keeps with H, holding
+        (free mask bytes, H_F, H_FF, inverse of H_FF or None) of the last
+        free set. There the step's matrix is H_FF alone, and u_F is the
+        inverse times the right-hand side; the entry is replaced when the
+        free set changes. The inverse serves new and kept free sets alike,
+        so a step's bits depend on H, F and the right-hand side only, never
+        on earlier calls; a singular inverse, or one whose solve misses
+        ``tol``, falls back to the LU solve.
         Returns (point, its residual norm, steps solved): the best point
         seen, which meets ``tol`` or goes to the caller's fallback.
         """
@@ -437,8 +459,11 @@ class _Separable(ProxTerm):
             # reads for an ungrouped coordinate: no division meets a zero
             nrm_ext = self._ones.copy()
             nrm = nrm_ext[:-1]
+        memo = inverses if order is None else None
+        inv = None
         while norm > tol and steps < _NEWTON_MAX_STEPS:
-            free = (lo < p) & (p < hi)
+            free = ((lo < p) & (p < hi) if self._bounded
+                    else np.ones(n, dtype=bool))
             g = cb
             if self._l1 is not None:
                 free &= (p != 0.0) | self._lam_zero
@@ -459,30 +484,48 @@ class _Separable(ProxTerm):
                     F = slice(None)
                 else:
                     u_new = np.where(free, 0.0, p)
-                HF, pF = H[F], p[F]
-                M = HF[:, F]
+                # the entry is read once, so a caller on another thread
+                # can only replace it whole
+                entry = key = None
+                if memo is not None:
+                    entry, key = memo[0], free.tobytes()
+                if entry is not None and entry[0] == key:
+                    _, HF, M, inv = entry
+                else:
+                    HF = H[F]
+                    M = HF[:, F]
+                    if memo is not None:
+                        try:
+                            inv = np.linalg.inv(M)
+                        except np.linalg.LinAlgError:
+                            inv = None
+                        memo[0] = (key, HF, M, inv)
                 rhs = -g if whole else -(g[F] + HF.dot(u_new))
                 if order is not None:
                     # D_J = a_J (I - r_J r_J^T) with a_J = w_J / ||p_J||
                     # and r_J = p_J / ||p_J||, on the free coordinates
-                    nF = nrm_of[F]
+                    nF, pF = nrm_of[F], p[F]
                     aF, rF = self._coord_weight[F] / nF, pF / nF
                     D = np.multiply.outer(aF * rF, rF)
                     D *= self._neg_same[F][:, F]
                     D.reshape(-1)[::aF.size + 1] += aF
                     M = M + D
                     rhs += D.dot(pF) - aF * pF
-                try:
-                    u_F = np.linalg.solve(M, rhs)
-                except np.linalg.LinAlgError:
-                    break
-                if not _distance(M.dot(u_F), rhs) <= tol:
-                    break
+                u_F = None if inv is None else inv.dot(rhs)
+                if u_F is None or not _distance(M.dot(u_F), rhs) <= tol:
+                    # no inverse, or a singular or inexact one: LU
+                    try:
+                        u_F = np.linalg.solve(M, rhs)
+                    except np.linalg.LinAlgError:
+                        break
+                    if not _distance(M.dot(u_F), rhs) <= tol:
+                        break
                 if whole:
                     u_new = u_F
                 else:
                     u_new[F] = u_F
-                u_new = np.minimum(np.maximum(u_new, lo), hi)
+                if self._bounded:
+                    u_new = np.minimum(np.maximum(u_new, lo), hi)
             steps += 1
             v_new, p_new = evaluate(u_new)
             norm_new = _distance(u_new, p_new)

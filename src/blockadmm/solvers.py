@@ -56,7 +56,7 @@ from .lagrangian import (
     proximal_gradient,
     solve_block,
 )
-from .problem import check_assumptions, objective
+from .problem import _objective, check_assumptions
 from .prox import _distance, _setting, _vector
 from .trace import TraceRecord
 
@@ -440,7 +440,7 @@ def run(problem, config=None, init=None, **overrides):
             termination=termination,
             records=records,
             final_alpha=alpha,
-            objective=objective(problem, x),
+            objective=_objective(problem, x),
             feas=float(np.linalg.norm(problem.apply_E(x) - problem.q)),
             config=config,
             beta=beta,

@@ -34,6 +34,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ CSV_COLUMNS = ("r", "L_val", "delta_p", "delta_d", "combined", "feas",
                "step", "pg", "d_y", "f_val")
 # the stored float columns: all but the index r and the derived combined
 _FLOATS = tuple(c for c in CSV_COLUMNS if c not in ("r", "combined"))
+# a record's values of the columns after r
+_row_floats = operator.attrgetter(*CSV_COLUMNS[1:])
 # the iterate arrays of a sidecar record, after its r and alpha
 _STATES = ("x", "y", "x_next", "w", "xbar")
 # the arrays every record carries; w and xbar may be absent or null
@@ -75,11 +78,18 @@ def _output(path, **kwargs):
 
 
 def write_csv(path, columns, rows):
-    """Write a header and rows as CSV to path (None: stdout)."""
+    """Write a header and rows as CSV to path (None: stdout).
+
+    The bytes are those of ``csv.writer``'s default dialect (``\\r\\n``
+    line ends) for fields that need no quoting: ints, floats (a float's
+    str is its repr) and strings without commas, quotes or line breaks,
+    which are all this package writes. Each row is formatted by one
+    ``%`` and written in one call."""
+    row_format = ",".join(["%s"] * len(columns)) + "\r\n"
     with _output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        fh.write(row_format % tuple(columns))
+        for row in rows:
+            fh.write(row_format % tuple(row))
 
 
 def write_json(doc, path):
@@ -114,8 +124,8 @@ class TraceRecord:
         return self.delta_p + self.delta_d
 
     def csv_row(self):
-        return [str(self.r)] + [repr(float(getattr(self, c)))
-                                for c in CSV_COLUMNS[1:]]
+        """The values of CSV_COLUMNS, r and then Python floats."""
+        return (self.r, *map(float, _row_floats(self)))
 
 
 def write_trace_csv(records, path):
@@ -170,27 +180,38 @@ def states_path_for(trace_path):
     return str(trace_path) + ".states.json"
 
 
-def _vec(a):
-    return None if a is None else np.asarray(a, dtype=float).tolist()
-
-
 def write_states(records, path, meta=None):
     """Write the iterate-state sidecar for a trace.
 
     The bytes are those of ``json.dump({"meta": ..., "records": [...]})``
     plus a newline, but each record is encoded and written on its own, so
     the whole document is never held in memory. An ``"xbar"`` key follows
-    ``"w"`` only in records that carry an inner minimizer.
+    ``"w"`` only in records that carry an inner minimizer. A record's
+    ``"x"`` reuses the text of the previous record's ``"x_next"`` when the
+    two arrays have the same shape and bytes, which is the usual case.
     """
     with open(path, "w") as fh:
         fh.write('{"meta": %s, "records": [' % json.dumps(dict(meta or {})))
         sep = ""
+        last = (None, None)       # (shape and bytes, text) of the last x_next
         for rec in records:
-            entry = {"r": rec.r, "alpha": float(rec.alpha)}
-            entry.update((k, _vec(getattr(rec, k))) for k in _STATES
-                         if k != "xbar" or rec.xbar is not None)
-            fh.write(sep)
-            fh.write(json.dumps(entry))
+            parts = ['"r": %s' % json.dumps(rec.r),
+                     '"alpha": %s' % json.dumps(float(rec.alpha))]
+            for key in _STATES:
+                vec = getattr(rec, key)
+                if vec is None:
+                    if key != "xbar":
+                        parts.append('"%s": null' % key)
+                    continue
+                vec = np.asarray(vec, dtype=float)
+                ident = ((vec.shape, vec.tobytes())
+                         if key in ("x", "x_next") else None)
+                text = (last[1] if key == "x" and ident == last[0]
+                        else json.dumps(vec.tolist()))
+                if key == "x_next":
+                    last = (ident, text)
+                parts.append('"%s": %s' % (key, text))
+            fh.write(sep + "{" + ", ".join(parts) + "}")
             sep = ", "
         fh.write("]}\n")
 
@@ -282,9 +303,9 @@ class CheckRow:
     passed: bool
 
     def csv_row(self):
-        return ([str(self.r), self.check_name]
-                + [repr(float(v)) for v in (self.lhs, self.rhs, self.slack)]
-                + ["true" if self.passed else "false"])
+        """The values of CHECK_COLUMNS."""
+        return (self.r, self.check_name, float(self.lhs), float(self.rhs),
+                float(self.slack), "true" if self.passed else "false")
 
 
 def write_checks_csv(rows, path):

@@ -15,9 +15,16 @@ loop. Every point the kernel visits costs one prox, evaluated once by
 its caller: prox calls are counted against the Newton steps solved.
 Step by step, the kernel must also match the plain formulation of
 ``oracles.newton_reference`` from the same start, and it must never
-divide by the norm of a group its prox point zeroes.
+divide by the norm of a group its prox point zeroes. On a group-free
+d(y) the kernel multiplies by the inverse of the free-set submatrix that
+the problem keeps beside its Hessian: a result must not depend on what
+that memo held before, also with threads sharing one problem; an inexact
+or singular inverse must fall back to the LU solve bit for bit; and
+group runs and block solves must never invert.
 """
 
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -28,7 +35,8 @@ from hypothesis import given, settings, strategies as st
 from blockadmm.diagnostics import reference_solution, run_diagnostics
 from blockadmm.generators import gen_group_l2, gen_lasso
 from blockadmm.lagrangian import minimize_lagrangian, proximal_gradient
-from blockadmm.problem import Block, SmoothTerm, build_problem, objective
+from blockadmm.problem import (Block, Problem, SmoothTerm, build_problem,
+                               objective)
 from blockadmm.prox import (L1, GroupL2, Linear, NonnegIndicator,
                             SparseGroup, _Separable)
 from blockadmm import solvers
@@ -41,7 +49,7 @@ _KINDS = ("l1", "l1_box", "box", "nonneg", "linear_box")
 _GROUP_KINDS = ("group", "group_box", "group_part_box", "sparse_group")
 
 
-def _no_newton(self, H, c, u, tol, evaluate, start):
+def _no_newton(self, H, c, u, tol, evaluate, start, inverses=None):
     return u, float(np.linalg.norm(u - start[1])), 0
 
 
@@ -350,3 +358,131 @@ def test_dual_newton_costs_one_prox_per_point(monkeypatch, make, rho):
             assert counts["prox"] <= res.newton_steps + 2
             newton_only += 1
     assert newton_only >= len(records) // 2
+
+
+# ---------------------------------------------------------------------------
+# The inverse memo of a group-free d(y)
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, name, replacement=None):
+    """Count the calls of ``np.linalg.<name>``, which returns what
+    ``replacement`` (default: the original) returns."""
+    calls = []
+    call = replacement or getattr(np.linalg, name)
+
+    def counted(*args):
+        calls.append(name)
+        return call(*args)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _lasso():
+    return gen_lasso(n_obs=20, n_feat=10, seed=3)
+
+
+def _memo_key(problem):
+    return problem._hessian_and_inverses(1.0)[1][0][0]
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a.x_of_y, b.x_of_y) and a.d_value == b.d_value
+            and np.array_equal(a.dual_grad, b.dual_grad)
+            and a.newton_steps == b.newton_steps)
+
+
+def test_dual_value_does_not_depend_on_the_inverse_memo(monkeypatch):
+    # d(y) from a warm start one Newton step from the minimizer, on the
+    # minimizer's free set: on a fresh build, after the memo holds
+    # another free set (a new inverse), and after it holds this one (the
+    # kept inverse); all three give the same bits
+    y, y_other = np.random.default_rng(0).standard_normal((2, 20))
+    exact = minimize_lagrangian(_lasso(), y, 1.0, tol=TOL)
+    start = exact.x_of_y + 1e-3 * (exact.x_of_y != 0.0)
+    inv = _count_calls(monkeypatch, "inv")
+    fresh = _lasso()
+    first = minimize_lagrangian(fresh, y, 1.0, tol=TOL, warm_start=start)
+    assert first.newton_steps == 1 and len(inv) == 1
+    shared = _lasso()
+    minimize_lagrangian(shared, 10.0 * y_other, 1.0, tol=TOL)
+    assert _memo_key(shared) != _memo_key(fresh)
+    del inv[:]
+    after_other = minimize_lagrangian(shared, y, 1.0, tol=TOL,
+                                      warm_start=start)
+    after_same = minimize_lagrangian(shared, y, 1.0, tol=TOL,
+                                     warm_start=start)
+    assert len(inv) == 1 and _memo_key(shared) == _memo_key(fresh)
+    assert _same_bits(first, after_other) and _same_bits(first, after_same)
+
+
+def test_an_inexact_or_singular_inverse_falls_back_to_the_lu_solve(
+        monkeypatch):
+    # the LU path is the kernel without a memo; an inverse that misses
+    # tol (2 I) or raises gives its bits, with one LU solve per step
+    y = np.random.default_rng(1).standard_normal(20)
+    hessian_and_inverses = Problem._hessian_and_inverses
+    with mock.patch.object(Problem, "_hessian_and_inverses",
+                           lambda self, rho: (
+                               hessian_and_inverses(self, rho)[0], None)):
+        lu = minimize_lagrangian(_lasso(), y, 1.0, tol=TOL)
+    assert lu.newton_steps >= 2
+
+    def singular(M):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    for inverse in (lambda M: 2.0 * np.eye(len(M)), singular):
+        with monkeypatch.context() as patched:
+            inv = _count_calls(patched, "inv", inverse)
+            solve = _count_calls(patched, "solve")
+            got = minimize_lagrangian(_lasso(), y, 1.0, tol=TOL)
+        assert inv and len(solve) == lu.newton_steps
+        assert _same_bits(got, lu)
+
+
+def test_group_runs_and_block_solves_never_invert(monkeypatch):
+    inv = _count_calls(monkeypatch, "inv")
+    solve = _count_calls(monkeypatch, "solve")
+    q = gen_group_l2(30, 3, 2, seed=0)
+    result = solvers.run(q, variant="gauss_seidel", rho=1.0, alpha="auto")
+    run_diagnostics(q, result.records, 1.0)
+    p = _lasso()
+    x = np.zeros(p.n)
+    for y in np.random.default_rng(2).standard_normal((5, p.m)):
+        x[p.blocks[0].sl] = solvers.solve_block(p, 0, x, y, 1.0, TOL)
+    assert solve and not inv
+
+
+def test_threads_sharing_one_problem_get_the_bits_of_fresh_builds():
+    # d(y) at different y on one problem from more threads than cores,
+    # switching often: each entry of the inverse memo is read whole, so
+    # every result equals the one of a fresh build
+    ys = np.random.default_rng(4).standard_normal((6, 20))
+    expected = [minimize_lagrangian(_lasso(), y, 1.0, tol=TOL) for y in ys]
+    shared = _lasso()
+    results, errors = {}, []
+
+    def work(i):
+        try:
+            for _ in range(20):
+                for j, y in enumerate(ys):
+                    res = minimize_lagrangian(shared, y, 1.0, tol=TOL)
+                    results.setdefault((i, j), []).append(res)
+        except Exception as e:       # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(results) == 4 * len(ys)
+    for (_, j), got in results.items():
+        assert all(_same_bits(res, expected[j]) for res in got)

@@ -120,7 +120,7 @@ def test_solve_block_warm_start_returns_immediately():
         assert np.array_equal(u2, u)
 
 
-def _no_newton(self, H, c, u, tol, evaluate, start):
+def _no_newton(self, H, c, u, tol, evaluate, start, inverses=None):
     return u, float(np.linalg.norm(u - start[1])), 0
 
 
@@ -450,16 +450,20 @@ def test_run_dual_update_identity_along_traces():
 
 
 def test_run_determinism_bitwise():
-    p = _mixed_problem(seed=23)
-    a = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
-            tol_outer=1e-8, max_iters=4000)
-    b = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
-            tol_outer=1e-8, max_iters=4000)
-    assert a.iterations == b.iterations
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-    assert records_equal(a.records, b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.x_next, rb.x_next)
+    # the group-free lasso reaches d(y)'s inverse memo, which the second
+    # run finds filled by the first
+    for p, max_iters in ((_mixed_problem(seed=23), 4000),
+                         (gen_lasso(n_obs=20, n_feat=10, seed=23), 300)):
+        a = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+                tol_outer=1e-8, max_iters=max_iters)
+        b = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+                tol_outer=1e-8, max_iters=max_iters)
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert records_equal(a.records, b.records)
+        for ra, rb in zip(a.records, b.records):
+            assert np.array_equal(ra.x_next, rb.x_next)
+            assert np.array_equal(ra.xbar, rb.xbar)
 
 
 def test_run_records_match_the_public_steps_bitwise():
@@ -537,24 +541,27 @@ def test_run_records_every_iteration_as_one_chain(
 def test_runs_over_several_rho_on_one_problem_match_fresh_builds():
     # A block holds no per-rho state: runs at rho = 1, 0.5, 1 on one
     # problem give the bits of fresh builds and add or rebind no
-    # attribute of any block.
-    shared = _mixed_problem(seed=27)
-    built = [dict(vars(blk)) for blk in shared.blocks]
-    for rho in (1.0, 0.5, 1.0):
-        a = run(shared, variant="gauss_seidel", rho=rho, alpha="auto",
-                tol_outer=1e-8, max_iters=15)
-        b = run(_mixed_problem(seed=27), variant="gauss_seidel", rho=rho,
-                alpha="auto", tol_outer=1e-8, max_iters=15)
-        assert a.iterations == b.iterations
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.x_next, rb.x_next)
-            assert np.array_equal(ra.xbar, rb.xbar)
-            assert ra.d_y == rb.d_y and ra.alpha == rb.alpha
-        for blk, attrs in zip(shared.blocks, built):
-            assert vars(blk).keys() == attrs.keys()
-            assert all(vars(blk)[name] is value
-                       for name, value in attrs.items())
+    # attribute of any block. The group-free lasso also carries d(y)'s
+    # inverse memo from one run to the next.
+    for make in (lambda: _mixed_problem(seed=27),
+                 lambda: gen_lasso(n_obs=20, n_feat=10, seed=27)):
+        shared = make()
+        built = [dict(vars(blk)) for blk in shared.blocks]
+        for rho in (1.0, 0.5, 1.0):
+            a = run(shared, variant="gauss_seidel", rho=rho, alpha="auto",
+                    tol_outer=1e-8, max_iters=15)
+            b = run(make(), variant="gauss_seidel", rho=rho, alpha="auto",
+                    tol_outer=1e-8, max_iters=15)
+            assert a.iterations == b.iterations
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+            for ra, rb in zip(a.records, b.records):
+                assert np.array_equal(ra.x_next, rb.x_next)
+                assert np.array_equal(ra.xbar, rb.xbar)
+                assert ra.d_y == rb.d_y and ra.alpha == rb.alpha
+            for blk, attrs in zip(shared.blocks, built):
+                assert vars(blk).keys() == attrs.keys()
+                assert all(vars(blk)[name] is value
+                           for name, value in attrs.items())
 
 
 def _closed_form_cases():
