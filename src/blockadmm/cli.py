@@ -136,7 +136,7 @@ def _cmd_gen(args, parser):
 def _load_problem(path, parser):
     try:
         return load_problem(path)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         parser.error("cannot load problem from %s: %s" % (path, e))
 
 

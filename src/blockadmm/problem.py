@@ -28,6 +28,7 @@ from .prox import (
     NonnegIndicator,
     _Separable,
     _setting,
+    _values,
     _vector,
     merge_box,
     term_from_doc,
@@ -77,11 +78,7 @@ class SmoothTerm:
             raise ValueError("smooth term kind must be quadratic or oracle")
         self.kind = kind
         if kind == "quadratic":
-            if b is None:
-                raise ValueError("quadratic smooth term needs a target b")
-            self.b = np.atleast_1d(np.asarray(b, dtype=float))
-            if not np.all(np.isfinite(self.b)):
-                raise ValueError("quadratic target b must be finite")
+            self.b = _values(b, "quadratic target b")
             self.value_fn = None
             self.grad_fn = None
         else:
@@ -143,7 +140,7 @@ class _BuiltBlock:
     its effective nonsmooth term (box folded in) compiled into the
     separable form."""
 
-    def __init__(self, k, E, A, smooth, h, nonsmooth, box, sl):
+    def __init__(self, k, E, A, smooth, form, nonsmooth, box, sl):
         self.k = k
         self.E = E
         self.A = A
@@ -152,7 +149,7 @@ class _BuiltBlock:
         self.box = box                # declared (lo, hi) or None
         self.sl = sl                  # slice of this block in the flat vector
         self.n_k = E.shape[1]
-        self.form = h._form(self.n_k)
+        self.form = form
         self.EtE = E.T @ E
         evals = np.linalg.eigvalsh(self.EtE)
         self.lambda_min = float(max(evals[0], 0.0))
@@ -308,14 +305,10 @@ def _as_matrix(M, name, k):
     return M.copy()
 
 
-def _normalize_box(box, n_k, k):
-    lo, hi = box
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n_k,)).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n_k,)).copy()
-    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-        raise ValueError("block %d: box bounds contain NaN" % k)
-    if np.any(lo > hi):
-        raise ValueError("block %d: empty box, lo exceeds hi" % k)
+def _normalize_box(box, n_k):
+    """The declared (lo, hi) as arrays; a scalar bound fills the block."""
+    lo, hi = (np.full(n_k, bound, dtype=float) if np.ndim(bound) == 0
+              else np.array(bound, dtype=float) for bound in box)
     return lo, hi
 
 
@@ -327,11 +320,7 @@ def build_problem(blocks, q):
     mismatches, non-finite data, or nonsmooth/box combinations without an
     exact prox.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float)).copy()
-    if q.ndim != 1:
-        raise ValueError("q must be a vector")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("q contains non-finite entries")
+    q = _values(q, "q")
     if len(blocks) == 0:
         raise ValueError("a problem needs at least one block")
     m = q.size
@@ -370,21 +359,14 @@ def build_problem(blocks, q):
             raise ValueError("block %d: A is given but there is no smooth term" % k)
         nonsmooth = blk.nonsmooth if blk.nonsmooth is not None else Zero()
         try:
-            nonsmooth.validate_dim(n_k)
-        except ValueError as e:
+            box = None if blk.box is None else _normalize_box(blk.box, n_k)
+            h = nonsmooth if box is None else merge_box(nonsmooth, *box)
+            form = h._form(n_k)
+        except (TypeError, ValueError) as e:
             raise ValueError("block %d: %s" % (k, e)) from None
-        box = None
-        h = nonsmooth
-        if blk.box is not None:
-            lo, hi = _normalize_box(blk.box, n_k, k)
-            box = (lo, hi)
-            try:
-                h = merge_box(nonsmooth, lo, hi)
-            except ValueError as e:
-                raise ValueError("block %d: %s" % (k, e)) from None
         sl = slice(offset, offset + n_k)
         offset += n_k
-        built.append(_BuiltBlock(k, E, A, smooth, h, nonsmooth, box, sl))
+        built.append(_BuiltBlock(k, E, A, smooth, form, nonsmooth, box, sl))
     E_mat = np.hstack([b.E for b in built])
     prob = Problem(built, q, E_mat)
     check_gradient_consistency(prob, only_oracles=True)
@@ -545,30 +527,34 @@ def problem_from_doc(doc):
     """Build a problem from its JSON dict form."""
     try:
         q = doc["q"]
-        raw_blocks = doc["blocks"]
+        raw_blocks = list(doc["blocks"])
     except (KeyError, TypeError):
-        raise ValueError("problem document needs 'q' and 'blocks'") from None
+        raise ValueError(
+            "problem document needs 'q' and a list of 'blocks'") from None
     blocks = []
-    for entry in raw_blocks:
-        smooth_doc = entry.get("smooth")
-        smooth = None
-        if smooth_doc is not None:
-            if smooth_doc.get("kind") != "quadratic":
-                raise ValueError(
-                    "only quadratic smooth terms can be loaded from JSON"
-                )
-            smooth = SmoothTerm(kind="quadratic", b=smooth_doc["b"])
-        box_doc = entry.get("box")
-        box = None if box_doc is None else (box_doc["lo"], box_doc["hi"])
-        blocks.append(Block(
-            E=np.asarray(entry["E"], dtype=float),
-            A=None if entry.get("A") is None else
-              np.asarray(entry["A"], dtype=float),
-            smooth=smooth,
-            nonsmooth=term_from_doc(entry["nonsmooth"]),
-            box=box,
-        ))
-    return build_problem(blocks, np.asarray(q, dtype=float))
+    for k, entry in enumerate(raw_blocks):
+        try:
+            smooth, box = entry.get("smooth"), entry.get("box")
+            if smooth is not None:
+                if smooth.get("kind") != "quadratic":
+                    raise ValueError(
+                        "only quadratic smooth terms can be loaded from JSON")
+                smooth = SmoothTerm(kind="quadratic", b=smooth["b"])
+            box = None if box is None else (box["lo"], box["hi"])
+            blocks.append(Block(
+                E=np.asarray(entry["E"], dtype=float),
+                A=None if entry.get("A") is None else
+                  np.asarray(entry["A"], dtype=float),
+                smooth=smooth,
+                nonsmooth=term_from_doc(entry["nonsmooth"]),
+                box=box,
+            ))
+        except ValueError as e:
+            raise ValueError("block %d: %s" % (k, e)) from None
+        except (KeyError, TypeError, AttributeError) as e:
+            raise ValueError("block %d is malformed (%s: %s)"
+                             % (k, type(e).__name__, e)) from None
+    return build_problem(blocks, q)
 
 
 def save_problem(problem, path):

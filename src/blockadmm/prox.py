@@ -80,27 +80,23 @@ def group_shrink(v, t):
 
 
 def _check_groups(groups, weights):
-    """Normalize groups to index arrays and check disjointness."""
-    if len(groups) != len(weights):
+    """Normalize groups to index arrays and check disjointness; the
+    weights are one finite nonnegative number per group."""
+    weights = _values(weights, "group weights", nonnegative=True)
+    if len(groups) != weights.size:
         raise ValueError(
             "need one weight per group, got %d groups and %d weights"
-            % (len(groups), len(weights))
+            % (len(groups), weights.size)
         )
-    norm_groups = []
-    seen = set()
-    for J in groups:
-        idx = np.asarray(J, dtype=int)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("each group must be a nonempty 1-d index list")
-        for i in idx:
-            if int(i) in seen:
-                raise ValueError("groups must be disjoint; index %d repeated" % i)
-            seen.add(int(i))
-        norm_groups.append(idx)
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("group weights must be nonnegative")
-    return norm_groups, w
+    norm_groups = [np.asarray(J, dtype=int) for J in groups]
+    if not all(J.ndim == 1 and J.size for J in norm_groups):
+        raise ValueError("each group must be a nonempty 1-d index list")
+    index, count = np.unique(np.concatenate(norm_groups or [[]]),
+                             return_counts=True)
+    if (count > 1).any():
+        raise ValueError("groups must be disjoint; index %d repeated"
+                         % index[count > 1][0])
+    return norm_groups, weights
 
 
 _TINY = np.finfo(float).tiny
@@ -240,6 +236,21 @@ def _vector(value, n, name):
     return v
 
 
+def _values(value, name, nonnegative=False):
+    """``value`` as a new 1-d array of finite floats, at least zero when
+    ``nonnegative`` is set, else a ValueError naming it: the one rule for
+    the numbers a term, a quadratic target and q hold."""
+    try:
+        v = np.array(value, dtype=float, ndmin=1)
+    except (TypeError, ValueError):
+        v = np.full((1, 1), np.nan)
+    ok = np.isfinite(v) & ((v >= 0.0) | (not nonnegative))
+    if v.ndim != 1 or not ok.all():
+        raise ValueError("%s must be a 1-d list of %s numbers, got %r" % (
+            name, "finite nonnegative" if nonnegative else "finite", value))
+    return v
+
+
 def _index(idx):
     """An index array as a slice when it is one contiguous run (basic
     slicing is cheaper than fancy indexing), or None when it is empty."""
@@ -253,8 +264,8 @@ def _index(idx):
 
 class ProxTerm:
     """Base class for nonsmooth terms. A subclass states its part of the
-    separable form (``_part``); its prox, value and domain projection are
-    those of the compiled form."""
+    separable form (``_part``); its prox and value are those of the
+    compiled form, which checks the part's lengths."""
 
     kind = "abstract"
 
@@ -271,13 +282,6 @@ class ProxTerm:
 
     def prox(self, v, t):
         return self._form(np.size(v)).prox(v, t)
-
-    def project_domain(self, v):
-        """Project v onto the term's domain (identity if real-valued)."""
-        return self._form(np.size(v)).project_domain(v)
-
-    def validate_dim(self, n):
-        """Raise ValueError if the term is inconsistent with dimension n."""
 
     def to_doc(self):
         """JSON-ready dict: the type, then the fields of ``_part``, which
@@ -346,9 +350,19 @@ class _Separable(ProxTerm):
     @classmethod
     def of(cls, n, b=0.0, lam=0.0, lo=-np.inf, hi=np.inf, groups=(),
            weights=()):
-        """The form on n coordinates; scalar parts apply to every one."""
-        b, lam, lo, hi = (np.broadcast_to(np.asarray(a, dtype=float), (n,))
-                          for a in (b, lam, lo, hi))
+        """The form on n coordinates; scalar parts apply to every one. The
+        one check of a term's lengths: an array part has length n and
+        every group index lies in [0, n)."""
+        parts = {"b": b, "lam": lam, "lo": lo, "hi": hi}
+        for name, a in parts.items():
+            a = parts[name] = np.asarray(a, dtype=float)
+            if a.ndim and a.shape != (n,):
+                raise ValueError("term part %s has shape %s, expected (%d,)"
+                                 % (name, a.shape, n))
+        if any(J.min() < 0 or J.max() >= n for J in groups):
+            raise ValueError("term part groups has an index outside [0, %d)"
+                             % n)
+        b, lam, lo, hi = (np.broadcast_to(a, (n,)) for a in parts.values())
         return cls(b, lam, lo, hi, list(groups),
                    np.asarray(weights, dtype=float))
 
@@ -572,13 +586,6 @@ class GroupL2(ProxTerm):
     def _part(self):
         return {"groups": self.groups, "weights": self.weights}
 
-    def validate_dim(self, n):
-        for J in self.groups:
-            if np.any(J < 0) or np.any(J >= n):
-                raise ValueError(
-                    "group index out of range for dimension %d" % n
-                )
-
 
 class SparseGroup(GroupL2):
     """h(x) = lam * ||x||_1 + sum_J w_J * ||x_J||_2.
@@ -604,24 +611,19 @@ class BoxIndicator(ProxTerm):
     kind = "box"
 
     def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo = np.array(lo, dtype=float, ndmin=1)
+        hi = np.array(hi, dtype=float, ndmin=1)
         if lo.shape != hi.shape:
             raise ValueError("box bounds must have matching shapes")
-        if np.any(lo > hi):
-            raise ValueError("empty box: some lo exceeds hi")
+        # NaN fails every comparison; lo = +inf or hi = -inf holds no point
+        if not ((lo <= hi) & (lo < np.inf) & (hi > -np.inf)).all():
+            raise ValueError("box bounds need lo <= hi, lo < inf and hi > "
+                             "-inf, got lo=%s, hi=%s" % (lo, hi))
         self.lo = lo
         self.hi = hi
 
     def _part(self):
         return {"lo": self.lo, "hi": self.hi}
-
-    def validate_dim(self, n):
-        if self.lo.size != n:
-            raise ValueError(
-                "box bounds have length %d, block has dimension %d"
-                % (self.lo.size, n)
-            )
 
 
 class NonnegIndicator(ProxTerm):
@@ -643,17 +645,10 @@ class Linear(ProxTerm):
     kind = "linear"
 
     def __init__(self, b):
-        self.b = np.atleast_1d(np.asarray(b, dtype=float))
+        self.b = _values(b, "linear term b")
 
     def _part(self):
         return {"b": self.b}
-
-    def validate_dim(self, n):
-        if self.b.size != n:
-            raise ValueError(
-                "linear term has length %d, block has dimension %d"
-                % (self.b.size, n)
-            )
 
 
 # Combinations of terms whose sum still has an exactly computable prox.
@@ -706,10 +701,6 @@ class Sum(ProxTerm):
     def _part(self):
         return dict(**self.terms[0]._part(), **self.terms[1]._part())
 
-    def validate_dim(self, n):
-        for t in self.terms:
-            t.validate_dim(n)
-
     def to_doc(self):
         raise ValueError(
             "sum terms are built from a declared term plus box bounds and "
@@ -727,9 +718,7 @@ def prox(term, v, t):
     t : float, positive and finite.
     """
     t = _setting(t, "prox step t")
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    term.validate_dim(v.size)
-    return term.prox(v, t)
+    return term.prox(np.atleast_1d(np.asarray(v, dtype=float)), t)
 
 
 def merge_box(term, lo, hi):
@@ -744,9 +733,9 @@ def merge_box(term, lo, hi):
     if term.kind == "zero":
         return box
     if term.kind in ("box", "nonneg"):
-        part = term._part()
-        return BoxIndicator(np.maximum(box.lo, part["lo"]),
-                            np.minimum(box.hi, part.get("hi", np.inf)))
+        form = term._form(box.lo.size)
+        return BoxIndicator(np.maximum(box.lo, form.lo),
+                            np.minimum(box.hi, form.hi))
     return Sum([box, term])
 
 

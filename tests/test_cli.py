@@ -258,8 +258,9 @@ def test_out_of_range_tol_ref_is_a_usage_error(tmp_path, capsys, command):
     ("--rho", "inf", "rho must be positive and finite, got inf"),
     ("--tol", "nan", "tol_outer must be positive and finite, got nan"),
     ("--tol", "inf", "tol_outer must be positive and finite, got inf"),
+    ("--max-iters", "0", "max_iters must be at least 1"),
 ], ids=["alpha-xyz", "alpha-nan", "alpha-inf", "rho-nan", "rho-inf",
-        "tol-nan", "tol-inf"])
+        "tol-nan", "tol-inf", "max-iters-0"])
 def test_solve_rejects_bad_alpha(tmp_path, capsys, flag, value, message):
     # NaN passes every comparison test, so a non-finite setting would run
     # to a cap and write NaN into the result
@@ -270,6 +271,46 @@ def test_solve_rejects_bad_alpha(tmp_path, capsys, flag, value, message):
               "--report", str(report)])
     assert info.value.code == 1
     assert message in capsys.readouterr().err
+    assert not report.exists()
+
+
+def _set_in_block_1(key, value):
+    """A problem-document edit that sets block 1's ``key``."""
+    return lambda doc: doc["blocks"][1].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc.__setitem__("blocks", [[1]]), "block 0 is malformed"),
+    (lambda doc: doc.__setitem__("blocks", 3), "a list of 'blocks'"),
+    (_set_in_block_1("nonsmooth", "l1"), "block 1 is malformed"),
+    (_set_in_block_1("smooth", [1]), "block 1 is malformed"),
+    (_set_in_block_1("box", [0, 1]), "block 1 is malformed"),
+    (_set_in_block_1("smooth", {"kind": "oracle"}),
+     "block 1: only quadratic smooth terms"),
+    (_set_in_block_1("box", {"lo": [float("nan")], "hi": [1.0]}),
+     "block 1: box bounds need lo <= hi"),
+    (_set_in_block_1("box", {"lo": {}, "hi": [1.0]}), "block 1: float()"),
+    (_set_in_block_1("nonsmooth", {"type": "group_l2", "groups": [[0]],
+                                   "weights": [float("nan")]}),
+     "block 1: group weights must be a 1-d list of finite"),
+], ids=["block_not_an_object", "blocks_not_a_list", "term_not_an_object",
+        "smooth_not_an_object", "box_not_an_object", "smooth_oracle",
+        "box_nan", "box_lo_not_a_number", "weight_nan"])
+def test_solve_rejects_a_malformed_problem_document(tmp_path, capsys, edit,
+                                                    named):
+    # a document that does not describe a problem is an input error
+    # (exit 1), never a traceback; json reads NaN, so it is checked too
+    doc = json.loads(_gen_kblock(tmp_path).read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--problem", str(path), "--report", str(report)])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "cannot load problem from %s" % path in err
+    assert named in err
     assert not report.exists()
 
 
@@ -466,8 +507,13 @@ def _edit_records(edit):
      "record r=3: x has shape (3,), expected (4,)"),
     (_edit_records(lambda recs: recs[3]["x"].__setitem__(1, None)),
      "record r=3: x is not a list of numbers"),
+    (_edit_records(lambda recs: recs.__setitem__(3, [1, 2])),
+     "record [1, 2] is not an object"),
+    (_edit_records(lambda recs: recs[3].pop("x_next")),
+     "record r=3 has no 'x_next'"),
 ], ids=["malformed", "not_an_object", "no_alpha", "missing_record",
-        "extra_record", "short_x", "null_in_x"])
+        "extra_record", "short_x", "null_in_x", "record_not_an_object",
+        "no_x_next"])
 def test_diagnose_rejects_a_defective_sidecar(tmp_path, capsys, edit, named):
     # a sidecar that does not match its trace and problem is an input
     # error (exit 1), never a traceback or a solver failure (exit 2)
@@ -592,6 +638,10 @@ def test_sweep_rejects_bad_grid_and_variant(tmp_path, capsys):
         main(["sweep", "--problem", str(prob), "--alpha-grid", "a,b"])
     assert info.value.code == 1
     capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--problem", str(prob), "--alpha-grid", ","])
+    assert info.value.code == 1
+    assert "--alpha-grid is empty" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--problem", str(prob), "--alpha-grid", "0.1",
               "--variants", "gs,bogus"])

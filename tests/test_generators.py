@@ -96,6 +96,15 @@ def test_group_l2_assumption_flags():
     assert rep.ok_for_variant["gauss_seidel"] is True
     with pytest.raises(ValueError):
         gen_group_l2(m=2, K=3, n_k=3)
+    with pytest.raises(ValueError, match="need a < b"):
+        gen_group_l2(a=1.0, b=-1.0)
+
+
+def test_group_l2_names_a_block_it_cannot_draw_with_full_rank(monkeypatch):
+    # every draw reads as rank deficient: after four the block is named
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: np.zeros(len(M)))
+    with pytest.raises(ValueError, match="block 0: could not draw"):
+        gen_group_l2(m=4, K=2, n_k=2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +174,8 @@ def test_consensus_structure():
         gen_consensus(K=1)
     with pytest.raises(ValueError):
         gen_consensus(w=-0.5)
+    with pytest.raises(ValueError, match="rows and cols must be positive"):
+        gen_consensus(rows=0)
 
 
 def test_consensus_feasibility_iff_blocks_agree():

@@ -1,10 +1,11 @@
-"""The package's public surface: one exported name per concept, and one
-rule for every setting it takes."""
+"""The package's public surface: one exported name per concept, one rule
+for every setting it takes and one for every input of a nonsmooth term."""
 
 import importlib
 import inspect
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -112,18 +113,25 @@ def _setting_calls():
     }
 
 
-def _misses(call, name, value):
-    """None when ``call`` rejects ``value`` for setting ``name`` with a
-    ValueError that names it, else what it did instead."""
+def _rejection(fn, pattern):
+    """None when ``fn()`` raises a ValueError whose message matches
+    ``pattern``, else what it did instead."""
     try:
-        out = call(**{name: value})
+        out = fn()
     except ValueError as e:
-        if re.search(r"\b%s\b" % re.escape(name), str(e)):
+        if re.search(pattern, str(e)):
             return None
         return "ValueError not naming it: %s" % e
     except Exception as e:    # reported below, with the call that raised
         return "%s: %s" % (type(e).__name__, e)
     return "returned %r" % (out,)
+
+
+def _misses(call, name, value):
+    """None when ``call`` rejects ``value`` for setting ``name`` with a
+    ValueError that names it, else what it did instead."""
+    return _rejection(lambda: call(**{name: value}),
+                      r"\b%s\b" % re.escape(name))
 
 
 def test_every_setting_is_rejected_when_nan_infinite_or_out_of_range():
@@ -149,4 +157,95 @@ def test_every_setting_is_rejected_when_nan_infinite_or_out_of_range():
                 if miss:
                     misses.append("%s(%s=%r): %s" % (fname, name, value,
                                                       miss))
+    assert not misses, "\n".join(misses)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_WEIGHT_BAD = (_NAN, _INF, -_INF, -1.0)
+
+# per term kind, valid constructor arguments on three coordinates and, for
+# each number or array of numbers among them, the entries it must reject
+# (an array gets the entry in its first place)
+_TERM_INPUTS = {
+    "zero": {},
+    "l1": {"lam": (0.5, _WEIGHT_BAD)},
+    "group_l2": {"groups": ([[0, 1], [2]], ()),
+                 "weights": ([1.0, 0.5], _WEIGHT_BAD)},
+    "sparse_group": {"lam": (0.5, _WEIGHT_BAD),
+                     "groups": ([[0, 1], [2]], ()),
+                     "weights": ([1.0, 0.5], _WEIGHT_BAD)},
+    # lo > hi, lo = +inf or hi = -inf leaves the box without a point, and
+    # its indicator would not be proper
+    "box": {"lo": ([-1.0, -_INF, 0.0], (_NAN, _INF, 2.0)),
+            "hi": ([1.0, 2.0, 0.0], (_NAN, -_INF, -2.0))},
+    "nonneg": {},
+    "linear": {"b": ([1.0, -2.0, 0.5], (_NAN, _INF, -_INF))},
+}
+
+
+def _compile_cases(valid):
+    """(arguments, n, parts named) for which compiling on n coordinates
+    meets an array part of the wrong length or a group index outside
+    [0, n)."""
+    # the per-coordinate arrays are those of length 3
+    arrays = [name for name, value in valid.items()
+              if isinstance(value, list) and len(value) == 3
+              and name != "groups"]
+    if arrays:
+        yield valid, 2, arrays
+        yield valid, 4, arrays
+    if "groups" in valid:
+        for groups in ([[0, -1], [2]], [[0, 1], [3]]):
+            yield dict(valid, groups=groups), 3, ["groups"]
+
+
+def test_every_term_input_is_rejected_when_nan_infinite_or_out_of_range():
+    # values are checked where a term is made, lengths and group indices
+    # where it is compiled: by the public prox, the term's own value and
+    # prox, and build_problem, whose error names the block
+    types_ = importlib.import_module("blockadmm.prox")._TERM_TYPES
+    assert set(_TERM_INPUTS) == set(types_)
+    b = blockadmm
+    misses = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, inputs in _TERM_INPUTS.items():
+            cls = types_[kind]
+            assert set(inputs) == set(inspect.signature(cls).parameters)
+            valid = {name: value for name, (value, _) in inputs.items()}
+            cls(**valid)
+            for name, (value, bad) in inputs.items():
+                for entry in bad:
+                    arg = [entry] + value[1:] if isinstance(value, list) \
+                        else entry
+                    miss = _misses(lambda **kw: cls(**dict(valid, **kw)),
+                                   name, arg)
+                    if miss:
+                        misses.append("%s(%s=%r): %s" % (kind, name, arg,
+                                                         miss))
+                    if kind == "box":
+                        # a block's declared box follows the same rule
+                        box = dict(valid, **{name: arg})
+                        miss = _rejection(lambda: b.build_problem(
+                            [b.Block(E=np.eye(3)),
+                             b.Block(E=np.eye(3), box=(box["lo"],
+                                                       box["hi"]))],
+                            np.zeros(3)), r"^block 1: .*\b%s\b" % name)
+                        if miss:
+                            misses.append("Block(box=%r): %s" % (box, miss))
+            for args, n, parts in _compile_cases(valid):
+                term, v = cls(**args), np.zeros(n)
+                named = r"\b(%s)\b" % "|".join(parts)
+                for path, fn, pattern in (
+                        ("prox", lambda: b.prox(term, v, 1.0), named),
+                        ("value", lambda: term.value(v), named),
+                        ("term prox", lambda: term.prox(v, 1.0), named),
+                        ("build_problem", lambda: b.build_problem(
+                            [b.Block(E=np.eye(n)),
+                             b.Block(E=np.eye(n), nonsmooth=term)],
+                            np.zeros(n)), r"^block 1: .*" + named)):
+                    miss = _rejection(fn, pattern)
+                    if miss:
+                        misses.append("%s(%r) on %d coordinates, %s: %s"
+                                      % (kind, args, n, path, miss))
     assert not misses, "\n".join(misses)

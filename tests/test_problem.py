@@ -81,6 +81,31 @@ def test_smooth_term_validation():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lipschitz_L"):
             SmoothTerm(b=np.zeros(2), lipschitz_L=bad)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="quadratic target b"):
+            SmoothTerm(b=[0.0, bad])
+        with pytest.raises(ValueError, match=r"\bq\b"):
+            build_problem([Block(E=np.eye(2))], [bad, 0.0])
+
+
+@pytest.mark.parametrize("block, named", [
+    (dict(E=np.ones(2)), "E must be a matrix"),
+    (dict(E=[[1.0, 0.0], [0.0, np.inf]]), "E contains non-finite entries"),
+    (dict(E=np.ones((2, 0))), "E has no columns"),
+    (dict(E=np.eye(2), A=np.ones(2), smooth=SmoothTerm(b=np.zeros(2))),
+     "A must be a matrix"),
+    (dict(E=np.eye(2), A=[[np.nan, 0.0]], smooth=SmoothTerm(b=np.zeros(1))),
+     "A contains non-finite entries"),
+    (dict(E=np.eye(2), A=np.ones((2, 3)), smooth=SmoothTerm(b=np.zeros(2))),
+     "A has 3 columns, block dimension is 2"),
+    (dict(E=np.eye(2), smooth="quadratic"), "smooth must be a SmoothTerm"),
+    (dict(E=np.eye(2), smooth=SmoothTerm(b=np.zeros(3))),
+     "quadratic target has length 3, expected 2"),
+], ids=["E_vector", "E_inf", "E_no_columns", "A_vector", "A_nan",
+        "A_columns", "smooth_not_a_term", "target_length"])
+def test_build_rejects_a_malformed_block(block, named):
+    with pytest.raises(ValueError, match="block 1: " + named):
+        build_problem([Block(E=np.eye(2)), Block(**block)], np.zeros(2))
 
 
 def test_problem_arrays_are_read_only():

@@ -518,8 +518,12 @@ def test_term_validation_errors():
         GroupL2([[0]], [-1.0])                     # negative weight
     with pytest.raises(ValueError):
         GroupL2([[0], [1]], [1.0])                 # weight count mismatch
+    with pytest.raises(ValueError, match="nonempty"):
+        GroupL2([[0], []], [1.0, 1.0])             # empty group
     with pytest.raises(ValueError):
         BoxIndicator(np.array([1.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match="matching shapes"):
+        BoxIndicator(np.zeros(2), np.ones(3))
     with pytest.raises(ValueError):
         prox(L1(1.0), np.array([1.0]), 0.0)        # nonpositive step
     with pytest.raises(ValueError):
