@@ -18,19 +18,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .prox import (
+    BoxIndicator,
     ProxTerm,
+    Sum,
     Zero,
     NonnegIndicator,
     _Separable,
     _setting,
     _values,
     _vector,
-    merge_box,
     term_from_doc,
 )
 from .trace import write_json
@@ -296,7 +297,11 @@ class Problem:
 
 
 def _as_matrix(M, name, k):
-    M = np.asarray(M, dtype=float)
+    try:
+        M = np.asarray(M, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValueError("block %d: %s is not a matrix of numbers (%s)"
+                         % (k, name, e)) from None
     if M.ndim != 2:
         raise ValueError("block %d: %s must be a matrix, got ndim=%d"
                          % (k, name, M.ndim))
@@ -360,7 +365,8 @@ def build_problem(blocks, q):
         nonsmooth = blk.nonsmooth if blk.nonsmooth is not None else Zero()
         try:
             box = None if blk.box is None else _normalize_box(blk.box, n_k)
-            h = nonsmooth if box is None else merge_box(nonsmooth, *box)
+            h = (nonsmooth if box is None
+                 else Sum([nonsmooth, BoxIndicator(*box)]))
             form = h._form(n_k)
         except (TypeError, ValueError) as e:
             raise ValueError("block %d: %s" % (k, e)) from None
@@ -504,23 +510,30 @@ def check_gradient_consistency(problem, rel_tol=1e-5, only_oracles=False):
     return worst
 
 
+def _rows(M):
+    """A matrix, or a pair of vectors, as lists of floats; None stays."""
+    return None if M is None else [[float(v) for v in row] for row in M]
+
+
 def problem_to_doc(problem):
-    """JSON-ready dict in the block-problem interchange schema."""
-    blocks = []
-    for b in problem.blocks:
-        entry = {
-            "E": [[float(v) for v in row] for row in b.E],
-            "A": None if b.A is None else
-                 [[float(v) for v in row] for row in b.A],
-            "smooth": None if b.smooth is None else b.smooth.to_doc(),
-            "nonsmooth": b.nonsmooth.to_doc(),
-            "box": None if b.box is None else {
-                "lo": [float(v) for v in b.box[0]],
-                "hi": [float(v) for v in b.box[1]],
-            },
-        }
-        blocks.append(entry)
-    return {"q": [float(v) for v in problem.q], "blocks": blocks}
+    """JSON-ready dict in the block-problem interchange schema; a block's
+    entry holds the fields of :class:`Block`."""
+    return {"q": [float(v) for v in problem.q], "blocks": [{
+        "E": _rows(b.E),
+        "A": _rows(b.A),
+        "smooth": None if b.smooth is None else b.smooth.to_doc(),
+        "nonsmooth": b.nonsmooth.to_doc(),
+        "box": None if b.box is None else dict(zip(("lo", "hi"),
+                                                   _rows(b.box))),
+    } for b in problem.blocks]}
+
+
+def _known_keys(doc, keys, level):
+    """A ValueError naming a key of the dict ``doc`` outside ``keys``:
+    each level of a document holds only the keys its writer emits."""
+    unknown = sorted(set(doc.keys()) - set(keys))
+    if unknown:
+        raise ValueError("unknown %s key %r" % (level, unknown[0]))
 
 
 def problem_from_doc(doc):
@@ -531,20 +544,24 @@ def problem_from_doc(doc):
     except (KeyError, TypeError):
         raise ValueError(
             "problem document needs 'q' and a list of 'blocks'") from None
+    _known_keys(doc, ("q", "blocks"), "problem document")
     blocks = []
     for k, entry in enumerate(raw_blocks):
         try:
+            _known_keys(entry, [f.name for f in fields(Block)], "block")
             smooth, box = entry.get("smooth"), entry.get("box")
             if smooth is not None:
                 if smooth.get("kind") != "quadratic":
                     raise ValueError(
                         "only quadratic smooth terms can be loaded from JSON")
+                _known_keys(smooth, ("kind", "b"), "smooth term")
                 smooth = SmoothTerm(kind="quadratic", b=smooth["b"])
-            box = None if box is None else (box["lo"], box["hi"])
+            if box is not None:
+                _known_keys(box, ("lo", "hi"), "box")
+                box = (box["lo"], box["hi"])
             blocks.append(Block(
-                E=np.asarray(entry["E"], dtype=float),
-                A=None if entry.get("A") is None else
-                  np.asarray(entry["A"], dtype=float),
+                E=entry["E"],
+                A=entry.get("A"),
                 smooth=smooth,
                 nonsmooth=term_from_doc(entry["nonsmooth"]),
                 box=box,

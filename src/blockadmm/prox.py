@@ -13,9 +13,11 @@ groups J,
 
 whose prox shifts by t * b, soft-thresholds at t * lam, clips the
 ungrouped coordinates and makes one ``_prox_ball_box`` call on the groups
-(exact: no admitted term puts an l1 weight and a finite bound on one
-grouped coordinate). A block compiles its term into the form when the
-problem is built, and the problem concatenates the block forms, so the
+(exact: :meth:`_Separable.of`, where every form is compiled, rejects a
+grouped coordinate with both an l1 weight and a finite bound). Terms add
+as functions do: shifts and l1 weights add, bounds intersect and groups
+join. A block compiles its term into the form when the problem is
+built, and the problem concatenates the block forms, so the
 prox, value and domain projection of a whole iterate are one call each.
 Every form also carries ``newton``, the safeguarded active-set Newton
 kernel that minimizes a convex quadratic plus the form exactly; on a
@@ -30,7 +32,7 @@ SparseGroup     h(x) = lam * ||x||_1 + sum_J w_J * ||x_J||_2
 BoxIndicator    h(x) = 0 if lo <= x <= hi else +inf
 NonnegIndicator h(x) = 0 if x >= 0 else +inf
 Linear          h(x) = <b, x>
-Sum             an admitted combination of the above (see class docstring)
+Sum             h(x) = sum of its terms, compiled into one form
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "soft_threshold",
     "group_shrink",
     "term_from_doc",
-    "merge_box",
 ]
 
 
@@ -80,26 +81,32 @@ def group_shrink(v, t):
 
 
 def _check_groups(groups, weights):
-    """Normalize groups to index arrays and check disjointness; the
-    weights are one finite nonnegative number per group."""
+    """Normalize groups to disjoint integer index arrays (across terms,
+    ``_Separable.of`` checks); one finite nonnegative weight per group."""
     weights = _values(weights, "group weights", nonnegative=True)
     if len(groups) != weights.size:
         raise ValueError(
             "need one weight per group, got %d groups and %d weights"
             % (len(groups), weights.size)
         )
-    norm_groups = [np.asarray(J, dtype=int) for J in groups]
-    if not all(J.ndim == 1 and J.size for J in norm_groups):
-        raise ValueError("each group must be a nonempty 1-d index list")
+    norm_groups = [np.asarray(J) for J in groups]
+    for j, J in enumerate(norm_groups):
+        if not (J.ndim == 1 and J.size and J.dtype.kind in "iu"):
+            raise ValueError("groups must be nonempty 1-d lists of integer "
+                             "indices; group %d is %r" % (j, groups[j]))
     index, count = np.unique(np.concatenate(norm_groups or [[]]),
                              return_counts=True)
     if (count > 1).any():
         raise ValueError("groups must be disjoint; index %d repeated"
                          % index[count > 1][0])
-    return norm_groups, weights
+    return [J.astype(int) for J in norm_groups], weights
 
 
 _TINY = np.finfo(float).tiny
+
+# per coordinate part: how two terms' parts add, and its value in no term
+_PARTS = {"b": (np.add, 0.0), "lam": (np.add, 0.0),
+          "lo": (np.maximum, -np.inf), "hi": (np.minimum, np.inf)}
 
 
 def _prox_ball_box(v, wt, floor, lo, hi, starts, gid):
@@ -265,7 +272,7 @@ def _index(idx):
 class ProxTerm:
     """Base class for nonsmooth terms. A subclass states its part of the
     separable form (``_part``); its prox and value are those of the
-    compiled form, which checks the part's lengths."""
+    compiled form, which checks the parts (``_Separable.of``)."""
 
     kind = "abstract"
 
@@ -273,9 +280,13 @@ class ProxTerm:
         """The keyword arguments of :meth:`_Separable.of` this term sets."""
         raise NotImplementedError
 
+    def _parts(self):
+        """The parts of the terms this term adds up."""
+        return [self._part()]
+
     def _form(self, n):
         """The term compiled on n coordinates."""
-        return _Separable.of(n, **self._part())
+        return _Separable.of(n, *self._parts())
 
     def value(self, x):
         return self._form(np.size(x)).value(x)
@@ -348,23 +359,48 @@ class _Separable(ProxTerm):
             self._ones = np.ones(weights.size + 1)
 
     @classmethod
-    def of(cls, n, b=0.0, lam=0.0, lo=-np.inf, hi=np.inf, groups=(),
-           weights=()):
-        """The form on n coordinates; scalar parts apply to every one. The
-        one check of a term's lengths: an array part has length n and
-        every group index lies in [0, n)."""
-        parts = {"b": b, "lam": lam, "lo": lo, "hi": hi}
-        for name, a in parts.items():
-            a = parts[name] = np.asarray(a, dtype=float)
-            if a.ndim and a.shape != (n,):
-                raise ValueError("term part %s has shape %s, expected (%d,)"
-                                 % (name, a.shape, n))
-        if any(J.min() < 0 or J.max() >= n for J in groups):
-            raise ValueError("term part groups has an index outside [0, %d)"
-                             % n)
-        b, lam, lo, hi = (np.broadcast_to(a, (n,)) for a in parts.values())
-        return cls(b, lam, lo, hi, list(groups),
-                   np.asarray(weights, dtype=float))
+    def of(cls, n, *parts, **one):
+        """The form on n coordinates of the sum of terms with these parts
+        (dicts of optional b, lam, lo, hi, groups and weights, the keywords
+        one more; a scalar fills every coordinate). The one check of a
+        form: array parts have length n, groups are disjoint in [0, n),
+        bounds hold a point, and no grouped coordinate has an l1 weight
+        and a finite bound."""
+        arrays, groups, weights = {}, [], []
+        for part in parts + (one,):
+            groups += part.get("groups", [])
+            weights += list(part.get("weights", []))
+            for name in _PARTS:
+                if name in part:
+                    a = np.asarray(part[name], dtype=float)
+                    if a.ndim and a.shape != (n,):
+                        raise ValueError(
+                            "term part %s has shape %s, expected (%d,)"
+                            % (name, a.shape, n))
+                    # (a, earlier): a tie of bounds keeps the earlier zero
+                    arrays[name] = (_PARTS[name][0](a, arrays[name])
+                                    if name in arrays else a)
+        b, lam, lo, hi = (np.broadcast_to(arrays.get(name, none), (n,))
+                          for name, (_, none) in _PARTS.items())
+        if not (lo <= hi).all():
+            raise ValueError("the bounds hold no point at index %d"
+                             % np.argmin(lo <= hi))
+        if groups:
+            order = np.concatenate(groups)
+            if order.min() < 0 or order.max() >= n:
+                raise ValueError(
+                    "term part groups has an index outside [0, %d)" % n)
+            count = np.bincount(order)
+            if count.max() > 1:
+                raise ValueError("groups must be disjoint; index %d repeated"
+                                 % count.argmax())
+            both = order[(lam[order] > 0.0)
+                         & (np.isfinite(lo[order]) | np.isfinite(hi[order]))]
+            if both.size:
+                raise ValueError(
+                    "no exact prox: index %d is in a group and has both an "
+                    "l1 weight and a finite bound" % both[0])
+        return cls(b, lam, lo, hi, groups, np.asarray(weights, dtype=float))
 
     @classmethod
     def concat(cls, forms):
@@ -651,55 +687,19 @@ class Linear(ProxTerm):
         return {"b": self.b}
 
 
-# Combinations of terms whose sum still has an exactly computable prox.
-# Key: frozenset of the two kinds involved.
-_SUM_RULES = {
-    frozenset(("box", "l1")),
-    frozenset(("box", "group_l2")),
-}
-
-
 class Sum(ProxTerm):
-    """Sum of two terms whose joint prox is still exact.
-
-    Admitted combinations:
-
-    * ``Linear`` plus any single non-sum term: the linear part shifts the
-      argument, prox_{t(h + <b,.>)}(v) = prox_{t h}(v - t b).
-    * ``BoxIndicator`` plus ``L1``: clamp the soft threshold. Each
-      coordinate problem is one-dimensional and convex, so clamping the
-      unconstrained minimizer into the interval is exact.
-    * ``BoxIndicator`` plus ``GroupL2``: the ball-box prox of each group
-      (``_prox_ball_box``); coordinates no group covers are clipped.
-
-    Any other combination is rejected at construction; the two terms of
-    an admitted one set disjoint parts of the separable form.
-    """
+    """h(x) = the sum of the terms, which may be sums themselves: their
+    parts add, and the compiled form rejects a sum without an exact prox."""
 
     kind = "sum"
 
     def __init__(self, terms):
-        terms = list(terms)
-        if len(terms) != 2:
-            raise ValueError("Sum supports exactly two terms")
-        kinds = [t.kind for t in terms]
-        if "sum" in kinds:
-            raise ValueError("nested sums of terms are not supported")
-        if "linear" in kinds:
-            terms.sort(key=lambda t: t.kind != "linear")
-            if terms[1].kind == "linear":
-                raise ValueError("sum of two linear terms; merge them instead")
-        elif frozenset(kinds) in _SUM_RULES:
-            terms.sort(key=lambda t: t.kind != "box")
-        else:
-            raise ValueError(
-                "no exact prox for the combination %s + %s"
-                % (kinds[0], kinds[1])
-            )
-        self.terms = terms
+        self.terms = list(terms)
+        if not self.terms:
+            raise ValueError("Sum needs at least one term")
 
-    def _part(self):
-        return dict(**self.terms[0]._part(), **self.terms[1]._part())
+    def _parts(self):
+        return [part for term in self.terms for part in term._parts()]
 
     def to_doc(self):
         raise ValueError(
@@ -719,24 +719,6 @@ def prox(term, v, t):
     """
     t = _setting(t, "prox step t")
     return term.prox(np.atleast_1d(np.asarray(v, dtype=float)), t)
-
-
-def merge_box(term, lo, hi):
-    """Fold box bounds into a nonsmooth term, returning an exact-prox term.
-
-    Used when building problems: declared box constraints become part of
-    the block's nonsmooth term. A box or nonneg term is intersected with
-    the box; any other term is summed with it, and ``Sum`` rejects the
-    combinations without an exact joint prox.
-    """
-    box = BoxIndicator(lo, hi)
-    if term.kind == "zero":
-        return box
-    if term.kind in ("box", "nonneg"):
-        form = term._form(box.lo.size)
-        return BoxIndicator(np.maximum(box.lo, form.lo),
-                            np.minimum(box.hi, form.hi))
-    return Sum([box, term])
 
 
 _TERM_TYPES = {

@@ -293,9 +293,20 @@ def _set_in_block_1(key, value):
     (_set_in_block_1("nonsmooth", {"type": "group_l2", "groups": [[0]],
                                    "weights": [float("nan")]}),
      "block 1: group weights must be a 1-d list of finite"),
+    # a misspelled key would drop what it holds
+    (lambda doc: doc["blocks"][1].__setitem__(
+        "Box", doc["blocks"][1].pop("box")),
+     "block 1: unknown block key 'Box'"),
+    (lambda doc: doc["blocks"][1]["box"].__setitem__("mid", [0.0]),
+     "block 1: unknown box key 'mid'"),
+    (_set_in_block_1("smooth", {"kind": "quadratic", "b": [0.0], "B": 1}),
+     "block 1: unknown smooth term key 'B'"),
+    (lambda doc: doc.__setitem__("Q", doc["q"]),
+     "unknown problem document key 'Q'"),
 ], ids=["block_not_an_object", "blocks_not_a_list", "term_not_an_object",
         "smooth_not_an_object", "box_not_an_object", "smooth_oracle",
-        "box_nan", "box_lo_not_a_number", "weight_nan"])
+        "box_nan", "box_lo_not_a_number", "weight_nan", "block_key_unknown",
+        "box_key_unknown", "smooth_key_unknown", "document_key_unknown"])
 def test_solve_rejects_a_malformed_problem_document(tmp_path, capsys, edit,
                                                     named):
     # a document that does not describe a problem is an input error

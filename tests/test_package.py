@@ -162,6 +162,8 @@ def test_every_setting_is_rejected_when_nan_infinite_or_out_of_range():
 
 _NAN, _INF = float("nan"), float("inf")
 _WEIGHT_BAD = (_NAN, _INF, -_INF, -1.0)
+# a group of indices that are not integers (NumPy would truncate them)
+_INDEX_BAD = ([0.5, 1.7], [True, False])
 
 # per term kind, valid constructor arguments on three coordinates and, for
 # each number or array of numbers among them, the entries it must reject
@@ -169,10 +171,10 @@ _WEIGHT_BAD = (_NAN, _INF, -_INF, -1.0)
 _TERM_INPUTS = {
     "zero": {},
     "l1": {"lam": (0.5, _WEIGHT_BAD)},
-    "group_l2": {"groups": ([[0, 1], [2]], ()),
+    "group_l2": {"groups": ([[0, 1], [2]], _INDEX_BAD),
                  "weights": ([1.0, 0.5], _WEIGHT_BAD)},
     "sparse_group": {"lam": (0.5, _WEIGHT_BAD),
-                     "groups": ([[0, 1], [2]], ()),
+                     "groups": ([[0, 1], [2]], _INDEX_BAD),
                      "weights": ([1.0, 0.5], _WEIGHT_BAD)},
     # lo > hi, lo = +inf or hi = -inf leaves the box without a point, and
     # its indicator would not be proper

@@ -101,8 +101,12 @@ def test_smooth_term_validation():
     (dict(E=np.eye(2), smooth="quadratic"), "smooth must be a SmoothTerm"),
     (dict(E=np.eye(2), smooth=SmoothTerm(b=np.zeros(3))),
      "quadratic target has length 3, expected 2"),
+    (dict(E={}), "E is not a matrix of numbers"),
+    (dict(E=np.eye(2), A={}, smooth=SmoothTerm(b=np.zeros(2))),
+     "A is not a matrix of numbers"),
 ], ids=["E_vector", "E_inf", "E_no_columns", "A_vector", "A_nan",
-        "A_columns", "smooth_not_a_term", "target_length"])
+        "A_columns", "smooth_not_a_term", "target_length", "E_not_numbers",
+        "A_not_numbers"])
 def test_build_rejects_a_malformed_block(block, named):
     with pytest.raises(ValueError, match="block 1: " + named):
         build_problem([Block(E=np.eye(2)), Block(**block)], np.zeros(2))

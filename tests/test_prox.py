@@ -14,7 +14,6 @@ from blockadmm.prox import (
     Sum,
     Zero,
     group_shrink,
-    merge_box,
     prox,
     soft_threshold,
     term_from_doc,
@@ -456,6 +455,12 @@ def _term_zoo(n):
         Sum([BoxIndicator(lo, hi), L1(0.7)]),
         Sum([BoxIndicator(lo, hi), GroupL2(groups, weights)]),
         Sum([Linear(rng.normal(size=n)), L1(0.6)]),
+        Sum([L1(0.4), GroupL2(groups, weights)]),
+        Sum([NonnegIndicator(), GroupL2(groups, weights)]),
+        Sum([Linear(rng.normal(size=n)), Linear(rng.normal(size=n))]),
+        Sum([Linear(rng.normal(size=n)), BoxIndicator(lo, hi), L1(0.5)]),
+        Sum([Linear(rng.normal(size=n)),
+             Sum([BoxIndicator(lo, hi), GroupL2(groups, weights)])]),
     ]
 
 
@@ -531,35 +536,72 @@ def test_term_validation_errors():
 
 
 def test_sum_combination_rules():
-    box = BoxIndicator(np.array([-1.0]), np.array([1.0]))
-    # admitted: box+l1, box+group_l2, linear+anything
-    Sum([box, L1(1.0)])
-    Sum([box, GroupL2([[0]], [1.0])])
-    Sum([Linear(np.array([1.0])), NonnegIndicator()])
-    with pytest.raises(ValueError):
-        Sum([L1(1.0), GroupL2([[0]], [1.0])])
-    with pytest.raises(ValueError):
-        Sum([Linear(np.array([1.0])), Linear(np.array([2.0]))])
-    with pytest.raises(ValueError):
-        Sum([box, Sum([box, L1(1.0)])])            # nested sums
-    with pytest.raises(ValueError):
-        Sum([box])                                 # needs exactly two
+    # terms add: a sum is admitted when its compiled form has an exact
+    # prox, so l1 + group_l2 is the sparse-group form, bit for bit
+    lam, groups, weights = 0.7, [[0, 1], [3]], [0.9, 1.3]
+    got = Sum([L1(lam), GroupL2(groups, weights)])._form(4)
+    want = SparseGroup(lam, groups, weights)._form(4)
+    for name in ("b", "lam", "lo", "hi", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert [J.tobytes() for J in got.groups] == [
+        J.tobytes() for J in want.groups]
+    # no grouped coordinate may carry both an l1 weight and a finite bound;
+    # an ungrouped one may, and so may a grouped one whose bounds are
+    # infinite
+    v = np.array([2.0, -1.5, 0.3, -3.0])
+    box = BoxIndicator(-np.ones(4), np.ones(4))
+    part_box = BoxIndicator([-np.inf, -np.inf, -1.0, -1.0],
+                            [np.inf, np.inf, 1.0, np.inf])
+    for term in (Sum([L1(lam), GroupL2([[0, 1]], [1.0]), part_box]),
+                 Sum([SparseGroup(0.0, groups, weights), box])):
+        assert np.all(np.isfinite(prox(term, v, 0.8)))
+    for term, index in (
+            (Sum([SparseGroup(lam, groups, weights), box]), 0),
+            (Sum([L1(lam), Sum([GroupL2(groups, weights), part_box])]), 3)):
+        with pytest.raises(ValueError, match="no exact prox: index %d is "
+                           "in a group" % index):
+            prox(term, v, 1.0)
+    from blockadmm.problem import Block, build_problem
+    with pytest.raises(ValueError, match="^block 1: no exact prox"):
+        build_problem([Block(E=np.eye(4)),
+                       Block(E=np.eye(4), box=(-1.0, 1.0),
+                             nonsmooth=SparseGroup(lam, groups, weights))],
+                      np.zeros(4))
+    # groups of different terms must be disjoint, and the bounds must
+    # leave a point
+    with pytest.raises(ValueError, match="disjoint; index 1 repeated"):
+        prox(Sum([GroupL2([[0, 1]], [1.0]), GroupL2([[1, 2]], [1.0])]),
+             v, 1.0)
+    for term in (Sum([box, BoxIndicator([2.0] * 4, [3.0] * 4)]),
+                 Sum([NonnegIndicator(), BoxIndicator(-np.ones(4),
+                                                      [1, 1, 1, -0.5])])):
+        with pytest.raises(ValueError, match="bounds hold no point"):
+            prox(term, v, 1.0)
+    with pytest.raises(ValueError, match="at least one term"):
+        Sum([])
 
 
-def test_merge_box_rules():
+def test_sum_intersects_box_bounds():
+    # a declared box folds into the block's term as Sum([term, box])
+    from blockadmm.problem import Block, build_problem
     lo = np.array([-1.0, -1.0])
     hi = np.array([1.0, 1.0])
-    assert merge_box(Zero(), lo, hi).kind == "box"
-    inner = merge_box(BoxIndicator(-0.5 * np.ones(2), 2 * np.ones(2)), lo, hi)
-    assert np.array_equal(inner.lo, np.array([-0.5, -0.5]))
-    assert np.array_equal(inner.hi, np.array([1.0, 1.0]))
-    nn = merge_box(NonnegIndicator(), lo, hi)
-    assert nn.kind == "box" and np.array_equal(nn.lo, np.zeros(2))
-    assert merge_box(L1(1.0), lo, hi).kind == "sum"
-    assert merge_box(GroupL2([[0, 1]], [1.0]), lo, hi).kind == "sum"
-    assert merge_box(Linear(np.ones(2)), lo, hi).kind == "sum"
-    with pytest.raises(ValueError):
-        merge_box(SparseGroup(1.0, [[0, 1]], [1.0]), lo, hi)
+    for term, want_lo, want_hi in (
+            (Zero(), lo, hi),
+            (BoxIndicator(-0.5 * np.ones(2), 2 * np.ones(2)),
+             [-0.5, -0.5], hi),
+            (NonnegIndicator(), np.zeros(2), hi),
+            (L1(1.0), lo, hi),
+            (GroupL2([[0, 1]], [1.0]), lo, hi),
+            (Linear(np.ones(2)), lo, hi)):
+        form = Sum([term, BoxIndicator(lo, hi)])._form(2)
+        assert np.array_equal(form.lo, want_lo)
+        assert np.array_equal(form.hi, want_hi)
+        built = build_problem([Block(E=np.eye(2), nonsmooth=term,
+                                     box=(lo, hi))], np.zeros(2))
+        assert built.blocks[0].form.lo.tobytes() == form.lo.tobytes()
+        assert built.blocks[0].form.hi.tobytes() == form.hi.tobytes()
 
 
 def test_term_serialization_roundtrip():
