@@ -12,10 +12,9 @@ import argparse
 import sys
 
 from .diagnostics import (
-    _combined_monotone_rows,
+    _combined_summary,
     _tol_ref,
     compute_gaps,
-    estimate_rate,
     reference_solution,
     run_diagnostics,
 )
@@ -244,21 +243,14 @@ def _cmd_sweep(args, parser):
                 result = run(problem, config)
                 records, _ = compute_gaps(problem, result.records,
                                           reference, args.rho)
-                mono = all(row.passed for row in
-                           _combined_monotone_rows(records, args.tol_ref))
-                try:
-                    fit = estimate_rate(records,
-                                        noise_floor=100.0 * args.tol_ref)
-                    mu, r2 = repr(fit.mu), repr(fit.r2)
-                except ValueError:
-                    mu, r2 = "nan", "nan"
+                _, mono, mu, r2, _ = _combined_summary(records, args.tol_ref)
                 entry.update({
                     "termination": result.termination,
                     "iterations": result.iterations,
                     "objective": repr(result.objective),
                     "feas": repr(result.feas),
                     "monotone_combined": "true" if mono else "false",
-                    "rate_mu": mu, "rate_r2": r2,
+                    "rate_mu": repr(mu), "rate_r2": repr(r2),
                 })
             except (ConvergenceError, ValueError) as e:
                 print("sweep cell variant=%s alpha=%g failed: %s"

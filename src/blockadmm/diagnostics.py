@@ -547,15 +547,23 @@ class DiagnosticsReport:
         return asdict(self)
 
 
-def _combined_monotone_rows(records, tol_ref):
-    """One row per consecutive pair of records: the combined gap may rise
-    by at most 10 * tol_ref, the noise of a reference solved to tol_ref."""
+def _combined_summary(records, tol_ref):
+    """(rows, monotone, mu, r2, warnings) of the combined gap: one row per
+    consecutive pair (it may rise by at most 10 * tol_ref, the noise of a
+    reference solved to tol_ref), whether all pass, and its rate fit above
+    100 * tol_ref, NaN with a warning when too few records remain."""
     rows = []
     for prev, cur in zip(records, records[1:]):
         diff = cur.combined - prev.combined
         rows.append(CheckRow(cur.r, "combined_monotone", diff, 0.0,
                              10.0 * tol_ref, diff <= 10.0 * tol_ref))
-    return rows
+    monotone = all(row.passed for row in rows)
+    try:
+        fit = estimate_rate(records, noise_floor=100.0 * tol_ref)
+    except ValueError as e:
+        return rows, monotone, float("nan"), float("nan"), [str(e)]
+    return (rows, monotone, fit.mu, fit.r2,
+            ["rate fit: %s" % fit.flag] if fit.flag else [])
 
 
 def _sigma_emp(records, step_floor):
@@ -583,7 +591,6 @@ def run_diagnostics(problem, records, rho, variant="gauss_seidel",
         reference = reference_solution(problem, rho, tol_ref=tol_ref)
     tol_ref = reference.tol_ref
     step_floor = 100.0 * tol_ref
-    warnings = []
     records, rows = compute_gaps(problem, records, reference, rho)
     descent_rows, gamma_observed = check_descent_lemma(
         problem, records, rho, gamma, variant=variant,
@@ -594,17 +601,9 @@ def run_diagnostics(problem, records, rho, variant="gauss_seidel",
     fv_rows, _fv_fit = check_function_value_convergence(
         problem, records, reference, rho)
     rows += fv_rows
-    mono_rows = _combined_monotone_rows(records, tol_ref)
+    mono_rows, mono, rate_mu, fit_r2, warnings = _combined_summary(
+        records, tol_ref)
     rows += mono_rows
-    mono = all(row.passed for row in mono_rows)
-    try:
-        fit = estimate_rate(records, noise_floor=100.0 * tol_ref)
-        rate_mu, fit_r2 = fit.mu, fit.r2
-        if fit.flag:
-            warnings.append("rate fit: %s" % fit.flag)
-    except ValueError as e:
-        rate_mu, fit_r2 = float("nan"), float("nan")
-        warnings.append(str(e))
     y_scale = max([1.0] + [float(np.linalg.norm(rec.y)) for rec in records])
     lip = check_dual_lipschitz(problem, rho, n_pairs=lipschitz_pairs,
                                radius=0.1 * y_scale,

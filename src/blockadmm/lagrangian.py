@@ -95,9 +95,8 @@ def _smooth_gradient(problem, x, y, rho):
     """
     w = rho * (problem.apply_E(x) - problem.q) - y
     out = problem.E_mat.T.dot(w)
-    for b in problem.blocks:
-        if b.smooth is not None:
-            out[b.sl] += b.smooth_grad(x[b.sl])
+    for b in problem._smooth_blocks:
+        out[b.sl] += b.smooth_grad(x[b.sl])
     return out
 
 

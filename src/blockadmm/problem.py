@@ -363,6 +363,8 @@ def build_problem(blocks, q):
         if blk.A is not None and smooth is None:
             raise ValueError("block %d: A is given but there is no smooth term" % k)
         nonsmooth = blk.nonsmooth if blk.nonsmooth is not None else Zero()
+        if not isinstance(nonsmooth, ProxTerm):
+            raise ValueError("block %d: nonsmooth must be a ProxTerm" % k)
         try:
             box = None if blk.box is None else _normalize_box(blk.box, n_k)
             h = (nonsmooth if box is None

@@ -344,19 +344,13 @@ class _Separable(ProxTerm):
                              and self._l1 is None
                              and np.array_equal(order, np.arange(lo.size)))
         # for the Newton kernel: the coordinates without an l1 weight and,
-        # with groups, each coordinate's group (-1: in no group), its
-        # group's weight (0 in no group), the negated same-group mask
-        # (-1 for two coordinates of one group, else -0) and a vector of
-        # ones, one per group and a last one for the ungrouped
+        # with groups, each coordinate's group (-1: in no group) and its
+        # group's weight negated (-0 in no group)
         self._lam_zero = lam == 0.0
         if groups:
-            group_of = np.full(lo.size, -1)
-            group_of[order] = self._gid
-            self._group_of = group_of
-            self._coord_weight = np.append(weights, 0.0)[group_of]
-            self._neg_same = -((group_of[:, None] == group_of)
-                               & (group_of >= 0)).astype(float)
-            self._ones = np.ones(weights.size + 1)
+            self._group_of = np.full(lo.size, -1)
+            self._group_of[order] = self._gid
+            self._neg_weight = -np.append(weights, 0.0)[self._group_of]
 
     @classmethod
     def of(cls, n, *parts, **one):
@@ -417,8 +411,10 @@ class _Separable(ProxTerm):
         if np.count_nonzero((self.lo <= x) & (x <= self.hi)) < x.size:
             return float("inf")
         val = 0.0
-        if self._shift is not None or self._l1 is not None:
-            val = float(self.b @ x + self.lam @ np.abs(x))
+        if self._l1 is not None:
+            val = float(self.lam @ np.abs(x))
+        if self._shift is not None:
+            val += float(self.b @ x)
         if self._order is not None:
             xg = x[self._order]
             val += float(self.weights @ np.sqrt(
@@ -507,7 +503,8 @@ class _Separable(ProxTerm):
         if order is not None:
             # the group norms and a trailing 1, which ``_group_of`` = -1
             # reads for an ungrouped coordinate: no division meets a zero
-            nrm_ext = self._ones.copy()
+            nrm_ext = np.empty(self.weights.size + 1)
+            nrm_ext[-1] = 1.0
             nrm = nrm_ext[:-1]
         memo = inverses if order is None else None
         inv = None
@@ -552,15 +549,16 @@ class _Separable(ProxTerm):
                         memo[0] = (key, HF, M, inv)
                 rhs = -g if whole else -(g[F] + HF.dot(u_new))
                 if order is not None:
-                    # D_J = a_J (I - r_J r_J^T) with a_J = w_J / ||p_J||
-                    # and r_J = p_J / ||p_J||, on the free coordinates
-                    nF, pF = nrm_of[F], p[F]
-                    aF, rF = self._coord_weight[F] / nF, pF / nF
-                    D = np.multiply.outer(aF * rF, rF)
-                    D *= self._neg_same[F][:, F]
-                    D.reshape(-1)[::aF.size + 1] += aF
+                    # D_J = a_J (I - r_J r_J^T) on F, naF = -a_J (-0 in no
+                    # group), r_J = p_J / ||p_J||; no mask if one group is all
+                    nF, pF, gF = nrm_of[F], p[F], self._group_of[F]
+                    naF, rF = self._neg_weight[F] / nF, pF / nF
+                    D = np.multiply.outer(naF * rF, rF)
+                    if self._starts.size > 1 or self._gid.size < n:
+                        D *= gF[:, None] == gF
+                    D.reshape(-1)[::naF.size + 1] -= naF
                     M = M + D
-                    rhs += D.dot(pF) - aF * pF
+                    rhs += D.dot(pF) + naF * pF
                 u_F = None if inv is None else inv.dot(rhs)
                 if u_F is None or not _distance(M.dot(u_F), rhs) <= tol:
                     # no inverse, or a singular or inexact one: LU
@@ -697,6 +695,10 @@ class Sum(ProxTerm):
         self.terms = list(terms)
         if not self.terms:
             raise ValueError("Sum needs at least one term")
+        for term in self.terms:
+            if not isinstance(term, ProxTerm):
+                raise ValueError("Sum terms must be ProxTerms, got %r"
+                                 % (term,))
 
     def _parts(self):
         return [part for term in self.terms for part in term._parts()]

@@ -105,8 +105,8 @@ class SolverConfig:
 
 @dataclass
 class RunResult:
-    """Final state and per-iteration records of a solver run; ``beta``
-    and ``tol_block`` are the resolved settings it ran with."""
+    """Final state (x and y, read-only) and per-iteration records of a
+    solver run; ``beta`` and ``tol_block`` are its resolved settings."""
 
     x: np.ndarray
     y: np.ndarray
@@ -185,7 +185,7 @@ def _jacobi_direction(problem, x, y, rho, tol_block):
 def _primal_pass(problem, variant, x, y, rho, tol_block, beta):
     """One primal pass of ``variant`` at fixed y; returns (x_next, w),
     with w the Jacobi direction (None for the cyclic sweeps). The damped
-    Jacobi update x + (w - x) / K is x_next = w exactly when K = 1."""
+    Jacobi update x + (w - x) / K is w itself when K = 1."""
     if variant == "gauss_seidel":
         return _primal_gauss_seidel(problem, x, y, rho, tol_block), None
     if variant == "proximal":
@@ -193,7 +193,13 @@ def _primal_pass(problem, variant, x, y, rho, tol_block, beta):
     w = _jacobi_direction(problem, x, y, rho, tol_block)
     if variant == "jacobi" and problem.K > 1:
         return x + (w - x) / problem.K, w
-    return w.copy(), w
+    return w, w
+
+
+def _frozen(a):
+    """``a``, marked read-only: a run's records and result share arrays."""
+    a.setflags(write=False)
+    return a
 
 
 def _dual_ascent(y, alpha, res):
@@ -251,10 +257,11 @@ def step(problem, variant, x, y, rho, alpha, beta=None):
     y, then the dual step y + alpha * (q - E x_next).
 
     Returns (x_next, y_next, w), with w the Jacobi direction (None for
-    the cyclic passes). The settings are checked as ``run`` checks them;
-    alpha is a nonnegative float, since the monitor of alpha="auto"
-    belongs to ``run``. Block solves run to the tolerance ``run`` uses
-    at its default tol_outer, and beta=None selects 1.01 * nu.
+    the cyclic passes; x_next itself where the pass sets x_next = w). The
+    settings are checked as ``run`` checks them; alpha is a nonnegative
+    float, since the monitor of alpha="auto" belongs to ``run``. Block
+    solves run to the tolerance ``run`` uses at its default tol_outer,
+    and beta=None selects 1.01 * nu.
     """
     auto, alpha, tol_block, beta = _resolve(problem, SolverConfig(
         variant=variant, rho=rho, alpha=alpha, beta=beta))
@@ -274,7 +281,8 @@ def run(problem, config=None, init=None, **overrides):
     (or from ``init=(x0, y0)`` when given; x0 is projected onto the
     domains), stops when max(prox-gradient norm, feasibility residual)
     falls below ``tol_outer``, and returns a RunResult whose records
-    carry the full iterate states (one record per dual transition).
+    carry the full iterate states (one record per dual transition) as
+    one chain of read-only arrays: record r+1's x is record r's x_next.
 
     With alpha="auto" the lookahead monitor solves d(y^r) to
     max(10 * tol_block, 1e-11) anyway, so each record also carries that
@@ -423,10 +431,10 @@ def run(problem, config=None, init=None, **overrides):
                 d_y=record_d,
                 f_val=f_val,
                 alpha=used_alpha,
-                x=x.copy(),
-                y=y.copy(),
-                x_next=x_next.copy(),
-                w=None if w is None else w.copy(),
+                x=_frozen(x),
+                y=_frozen(y),
+                x_next=_frozen(x_next),
+                w=None if w is None else _frozen(w),
                 xbar=record_xbar,
             ))
             x, y, res = x_next, y_next, res_next
@@ -434,8 +442,8 @@ def run(problem, config=None, init=None, **overrides):
         if termination == "max_iters" and non_monotone:
             termination = "non_monotone_warning"
         return RunResult(
-            x=x,
-            y=y,
+            x=_frozen(x),
+            y=_frozen(y),
             iterations=r,
             termination=termination,
             records=records,

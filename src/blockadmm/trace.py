@@ -187,13 +187,13 @@ def write_states(records, path, meta=None):
     plus a newline, but each record is encoded and written on its own, so
     the whole document is never held in memory. An ``"xbar"`` key follows
     ``"w"`` only in records that carry an inner minimizer. A record's
-    ``"x"`` reuses the text of the previous record's ``"x_next"`` when the
-    two arrays have the same shape and bytes, which is the usual case.
+    ``"x"`` reuses the text of the previous record's ``"x_next"`` when it
+    is the same array, as in the records of one run.
     """
     with open(path, "w") as fh:
         fh.write('{"meta": %s, "records": [' % json.dumps(dict(meta or {})))
         sep = ""
-        last = (None, None)       # (shape and bytes, text) of the last x_next
+        last = (None, None)       # (array, text) of the last x_next
         for rec in records:
             parts = ['"r": %s' % json.dumps(rec.r),
                      '"alpha": %s' % json.dumps(float(rec.alpha))]
@@ -203,13 +203,10 @@ def write_states(records, path, meta=None):
                     if key != "xbar":
                         parts.append('"%s": null' % key)
                     continue
-                vec = np.asarray(vec, dtype=float)
-                ident = ((vec.shape, vec.tobytes())
-                         if key in ("x", "x_next") else None)
-                text = (last[1] if key == "x" and ident == last[0]
-                        else json.dumps(vec.tolist()))
+                text = (last[1] if key == "x" and vec is last[0]
+                        else json.dumps(np.asarray(vec, dtype=float).tolist()))
                 if key == "x_next":
-                    last = (ident, text)
+                    last = (vec, text)
                 parts.append('"%s": %s' % (key, text))
             fh.write(sep + "{" + ", ".join(parts) + "}")
             sep = ", "

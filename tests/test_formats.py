@@ -83,6 +83,9 @@ def test_trace_csv_text_is_pinned(tmp_path):
     write_trace_csv(_records(), str(path))
     assert path.read_bytes().decode() == _TRACE_CSV
     assert records_equal(read_trace_csv(str(path)), _records())
+    # the reader skips blank rows
+    path.write_text(_TRACE_CSV.replace("\r\n1,", "\r\n\r\n1,") + "\r\n")
+    assert records_equal(read_trace_csv(str(path)), _records())
 
 
 def test_trace_row_of_the_wrong_length_is_rejected(tmp_path):
@@ -230,6 +233,7 @@ def test_records_equal_compares_every_csv_scalar():
         setattr(changed[1], name, getattr(changed[1], name) + 1)
         assert not records_equal(_records(), changed), name
     assert records_equal(_records(), _records())
+    assert not records_equal(_records(), _records()[:1])
 
 
 _TERM_DOCS = [

@@ -181,7 +181,7 @@ _TERM_INPUTS = {
     "box": {"lo": ([-1.0, -_INF, 0.0], (_NAN, _INF, 2.0)),
             "hi": ([1.0, 2.0, 0.0], (_NAN, -_INF, -2.0))},
     "nonneg": {},
-    "linear": {"b": ([1.0, -2.0, 0.5], (_NAN, _INF, -_INF))},
+    "linear": {"b": ([1.0, -2.0, 0.5], (_NAN, _INF, -_INF, "abc"))},
 }
 
 
@@ -250,4 +250,15 @@ def test_every_term_input_is_rejected_when_nan_infinite_or_out_of_range():
                     if miss:
                         misses.append("%s(%r) on %d coordinates, %s: %s"
                                       % (kind, args, n, path, miss))
+    # a term is a ProxTerm: in a block and in a sum
+    for call, pattern in (
+            (lambda: b.build_problem(
+                [b.Block(E=np.eye(1), nonsmooth="l1")], [0.0]),
+             r"^block 0: nonsmooth must be a ProxTerm"),
+            (lambda: b.Sum([1]), r"^Sum terms must be ProxTerms, got 1$"),
+            (lambda: b.Sum([b.L1(1.0), "x"]),
+             r"^Sum terms must be ProxTerms, got 'x'$")):
+        miss = _rejection(call, pattern)
+        if miss:
+            misses.append("%s: %s" % (pattern, miss))
     assert not misses, "\n".join(misses)

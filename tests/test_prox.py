@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from blockadmm.generators import gen_group_l2
 from blockadmm.prox import (
     L1,
     BoxIndicator,
     GroupL2,
     Linear,
     NonnegIndicator,
+    ProxTerm,
     SparseGroup,
     Sum,
     Zero,
@@ -394,6 +396,11 @@ _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
 # 0 on a face: the shrinkage leaves the box, yet the prox is 0
 @example((np.array([-1.0, 0.5]), 1.0, np.array([0.0, -1.0]),
           np.array([1.0, 1.0]), [[0, 1]], [1.0]))
+# ||v|| exceeds t * w by less than the root tolerance, and the second
+# coordinate's shrinkage leaves the box: the bracket of the scale is
+# closed before any Newton step
+@example((np.array([0.5, 1e-9]), 1.0, np.array([-1.0, -1.0]),
+          np.array([1.0, 0.0]), [[0, 1]], [np.nextafter(0.5, 0.0)]))
 def test_ball_box_kernel_matches_bisection_oracle(case):
     v, t, lo, hi, groups, weights = case
     got = prox(_ball_box_term(lo, hi, groups, weights), v, t)
@@ -507,6 +514,17 @@ def test_prox_optimality_certificate():
             assert fp <= fu + 1e-10
 
 
+def test_a_compiled_form_holds_no_array_longer_than_its_coordinates():
+    # a form keeps per-coordinate and per-group arrays only, never an
+    # n x n one: the Newton step masks its curvature on the free set
+    p = gen_group_l2(m=6, K=3, n_k=4, seed=0)
+    forms = [term._form(4) for term in _term_zoo(4)]
+    for form in forms + [p.form] + [b.form for b in p.blocks]:
+        for name, value in vars(form).items():
+            if isinstance(value, np.ndarray):
+                assert value.size <= form.lo.size, name
+
+
 # ---------------------------------------------------------------------------
 # construction rules, merging, serialization
 # ---------------------------------------------------------------------------
@@ -533,6 +551,8 @@ def test_term_validation_errors():
         prox(L1(1.0), np.array([1.0]), 0.0)        # nonpositive step
     with pytest.raises(ValueError):
         prox(Linear(np.array([1.0, 2.0])), np.array([1.0]), 1.0)
+    with pytest.raises(NotImplementedError):
+        ProxTerm().value(np.zeros(2))             # a term states its part
 
 
 def test_sum_combination_rules():

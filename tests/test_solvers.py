@@ -538,6 +538,28 @@ def test_run_records_every_iteration_as_one_chain(
             y, rec.y - rec.alpha * (p.apply_E(rec.x_next) - p.q))
 
 
+@pytest.mark.parametrize("variant, alpha", [
+    ("gauss_seidel", "auto"), ("proximal", 0.05), ("jacobi", 0.05),
+    ("jacobi_unsafe", 0.05)])
+def test_run_holds_each_iterate_once_and_read_only(variant, alpha):
+    # Record r + 1 starts from record r's own x_next array, and the
+    # result's x is the last one; a write into any of them would change
+    # a neighbour, so it raises.
+    p = gen_group_l2(seed=0, **_SMALL_SHAPES["group_l2"])
+    res = run(p, variant=variant, rho=1.0, alpha=alpha, max_iters=10)
+    assert res.iterations == 10
+    for rec, nxt in zip(res.records, res.records[1:]):
+        assert nxt.x is rec.x_next
+    assert res.x is res.records[-1].x_next
+    held = [res.x, res.y] + [a for rec in res.records
+                             for a in (rec.x, rec.y, rec.x_next, rec.w)
+                             if a is not None]
+    assert len(held) == 2 + (4 if "jacobi" in variant else 3) * 10
+    for a in held:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
 def test_runs_over_several_rho_on_one_problem_match_fresh_builds():
     # A block holds no per-rho state: runs at rho = 1, 0.5, 1 on one
     # problem give the bits of fresh builds and add or rebind no
