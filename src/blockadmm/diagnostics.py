@@ -374,6 +374,7 @@ def check_dual_lipschitz(problem, rho, n_pairs=100, radius=1.0, tol=1e-8,
     10 * tol / min-pair-distance to absorb inner-solve error. Coincident
     pairs are skipped.
     """
+    radius = _setting(radius, "radius", nonnegative=True)
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     min_dist = float("inf")
@@ -429,6 +430,7 @@ def estimate_error_bound_constants(problem, rho, reference, n_samples=20,
     """
     rho = _setting(rho, "rho")
     tol = _setting(reference.tol_ref if tol is None else tol, "tol")
+    radius = _setting(radius, "radius", nonnegative=True)
     rng = np.random.default_rng(seed)
     floor = 100.0 * tol
     tau_p = 0.0

@@ -174,7 +174,8 @@ def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
 
     Returns (point, its residual, FISTA iterations, Newton steps); the
     iterations are 0 when the start or Newton met ``tol``. After
-    ``max_iter`` iterations raises ConvergenceError, naming ``what`` and
+    ``max_iter`` iterations, or at once when the residual FISTA would
+    start from is NaN, raises ConvergenceError, naming ``what`` and
     carrying the best point and residual.
     """
     def evaluate(z):
@@ -191,6 +192,9 @@ def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
         res_norm = _distance(u, start[1])
     if res_norm <= tol:
         return u, res_norm, 0, newton_steps
+    if np.isnan(res_norm):   # FISTA would run all max_iter iterations
+        raise ConvergenceError("%s starts at a NaN residual" % what,
+                               best_x=u, best_value=res_norm)
     best = (res_norm, u)
     z = u
     t_mom = 1.0

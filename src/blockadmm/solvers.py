@@ -32,10 +32,12 @@ dual step is committed only if the monitored quantity
 L(x^{r+2}; y^{r+1}) - 2 d(y^{r+1}), whose decrease is equivalent to the
 decrease of the combined primal-dual gap, does not increase. Otherwise
 alpha is halved (at most 6 times per iteration) and the candidate is
-discarded, i.e. the run restarts from the last monotone iterate. If a
-block solve of the primal pass or one of the monitor's inner solves
-hits its cap, the run ends with termination "inner_cap", keeping its
-records and the last accepted iterate.
+discarded, i.e. the run restarts from the last monotone iterate. Each
+dual point is visited once: the primal pass there, its Lagrangian parts
+and d(y), and the committed candidate is the next iteration's pass. If
+an inner solve hits its cap, in a primal pass or in d(y), the run ends
+with termination "inner_cap", keeping its records and the last accepted
+iterate.
 
 ``run`` records every iteration, consecutively whatever the termination:
 an iteration that diverges or hits a cap ends the run before its record.
@@ -216,24 +218,29 @@ def _check_variant(variant):
 def _resolve(problem, config):
     """The checked settings of ``config``: (auto, alpha, tol_block, beta).
 
-    rho and tol_outer must be positive and finite, alpha "auto" or a
-    nonnegative finite float, and the proximal variant's beta None,
-    "auto" (both 1.01 * nu) or a finite float above the curvature bound
-    nu. ``run``, ``step`` and the CLI's solve, sweep and diagnose all
-    check their settings here.
+    rho and tol_outer must be positive and finite, max_iters an integer
+    of at least 1 (not a bool), alpha "auto" or a nonnegative finite
+    number, and the proximal variant's beta None, "auto" (both 1.01 *
+    nu) or a finite float above the curvature bound nu. ``run``,
+    ``step`` and the CLI's solve, sweep and diagnose all check their
+    settings here.
     """
     _check_variant(config.variant)
     rho = _setting(config.rho, "rho")
     tol_outer = _setting(config.tol_outer, "tol_outer")
-    if not config.max_iters >= 1:
-        raise ValueError("max_iters must be at least 1")
-    auto = config.alpha == "auto"
+    if not (isinstance(config.max_iters, (int, np.integer))
+            and not isinstance(config.max_iters, bool)
+            and config.max_iters >= 1):
+        raise ValueError("max_iters must be at least 1 and an integer, got "
+                         "%r" % (config.max_iters,))
+    auto = isinstance(config.alpha, str) and config.alpha == "auto"
     alpha = 0.1 * rho if auto else _setting(config.alpha, "alpha",
                                             nonnegative=True)
     tol_block = min(1e-10, tol_outer / 100.0)
     beta = None
     if config.variant == "proximal":
-        if config.beta is None or config.beta == "auto":
+        if config.beta is None or (isinstance(config.beta, str)
+                                   and config.beta == "auto"):
             beta = default_beta(problem, rho)
         else:
             beta = _beta(problem, rho, config.beta)
@@ -284,17 +291,22 @@ def run(problem, config=None, init=None, **overrides):
     carry the full iterate states (one record per dual transition) as
     one chain of read-only arrays: record r+1's x is record r's x_next.
 
-    With alpha="auto" the lookahead monitor solves d(y^r) to
-    max(10 * tol_block, 1e-11) anyway, so each record also carries that
-    value as ``d_y`` and its inner minimizer x(y^r) as ``xbar``;
-    :func:`blockadmm.diagnostics.compute_gaps` polishes both instead of
-    solving again. Fixed-alpha records leave them NaN and None. The
-    lookahead's L(x^{r+2}; y^{r+1}) and f(x^{r+2}) become the next
-    record's ``L_val`` and ``f_val`` without being computed again.
+    Each dual point y is visited once (``visit``): the primal pass at y,
+    the Lagrangian parts of its iterate and, with alpha="auto", d(y)
+    solved from that iterate to max(10 * tol_block, 1e-11). A fixed-alpha
+    run makes one visit per iteration. The monitor compares candidate
+    visits by L - 2 d, and the committed one is the next iteration's
+    pass: its L(x^{r+2}; y^{r+1}) and f(x^{r+2}) become the next
+    record's ``L_val`` and ``f_val``, and its d(y^{r+1}) and inner
+    minimizer x(y^{r+1}) the next record's ``d_y`` and ``xbar``, which
+    :func:`blockadmm.diagnostics.compute_gaps` polishes instead of
+    solving again. Fixed-alpha records leave them NaN and None.
 
-    A ConvergenceError from any inner solve, in the primal pass or in
-    the monitor, ends the run with termination "inner_cap" and a warning
-    naming the iteration; the records so far are kept.
+    A pass that leaves a non-finite iterate gets no inner solve, and the
+    run ends with termination "diverged". A ConvergenceError from any
+    inner solve ends it with termination "inner_cap" and one warning
+    naming the iteration; the records so far are kept. ``init`` must
+    hold finite entries.
     """
     if config is None:
         config = SolverConfig(**overrides)
@@ -316,23 +328,33 @@ def run(problem, config=None, init=None, **overrides):
             "undamped Jacobi sweeps have no descent guarantee"
         )
 
-    def dual_eval(yc, warm):
-        return minimize_lagrangian(problem, yc, rho,
-                                   tol=max(tol_block * 10.0, 1e-11),
-                                   warm_start=warm)
+    tol_dual = max(tol_block * 10.0, 1e-11)
+
+    def visit(x_from, y):
+        """The primal pass at y from x_from: (x_next, w, its Lagrangian
+        parts, d(y)'s inner solve). d(y) is solved with alpha="auto",
+        warm-started at x_next, unless x_next is not finite."""
+        x_next, w = _primal_pass(problem, variant, x_from, y, rho,
+                                 tol_block, beta)
+        inner = None
+        if auto and np.isfinite(x_next).all():
+            inner = minimize_lagrangian(problem, y, rho, tol=tol_dual,
+                                        warm_start=x_next)
+        return x_next, w, _lagrangian_parts(problem, x_next, y, rho), inner
 
     x = problem.project_domains(np.zeros(problem.n))
     y = np.zeros(problem.m)
     if init is not None:
         x0, y0 = init
-        x = problem.project_domains(_vector(x0, problem.n, "init x"))
+        x0 = _vector(x0, problem.n, "init x")
         y = _vector(y0, problem.m, "init y").copy()
+        if not (np.isfinite(x0).all() and np.isfinite(y).all()):
+            raise ValueError("init must hold finite entries")
+        x = problem.project_domains(x0)
     res = problem.apply_E(x) - problem.q
     records = []
     non_monotone = False
-    mu_prev = None
-    d_cur, xbar_cur = float("nan"), None
-    pending = None
+    state = None        # the visit at (x, y) when the monitor made it
     termination = "max_iters"
     r = 0
     # the finiteness check below reports a diverging run's overflow
@@ -346,97 +368,54 @@ def run(problem, config=None, init=None, **overrides):
                 break
             if r >= config.max_iters:
                 break
-            if pending is not None:
-                x_next, w, parts = pending
-                pending = None
-            else:
-                try:
-                    x_next, w = _primal_pass(problem, variant, x, y, rho,
-                                             tol_block, beta)
-                except ConvergenceError as e:
-                    termination = "inner_cap"
-                    warnings.append(
-                        "a block solve of the primal pass hit its cap at "
-                        "iteration %d; the result holds the last iterate "
-                        "(%s)" % (r, e))
-                    break
-                parts = _lagrangian_parts(problem, x_next, y, rho)
-            f_val, res_next, L_val = parts
-            if variant == "jacobi_unsafe":
-                L_at_x = augmented_lagrangian(problem, x, y, rho)
-                if L_val > L_at_x + 1e-12 * (1.0 + abs(L_at_x)):
-                    if not non_monotone:
-                        warnings.append(
-                            "augmented Lagrangian increased at iteration %d "
-                            "(undamped Jacobi)" % r
-                        )
-                    non_monotone = True
-            if auto:
-                used_alpha = alpha
-                accepted = False
-                try:
-                    if mu_prev is None:
-                        inner = dual_eval(y, x_next)
-                        d_cur, xbar_cur = inner.d_value, inner.x_of_y
-                        mu_prev = L_val - 2.0 * d_cur
+            try:
+                x_next, w, (f_val, res_next, L_val), inner = \
+                    state or visit(x, y)
+                if variant == "jacobi_unsafe":
+                    L_at_x = augmented_lagrangian(problem, x, y, rho)
+                    if L_val > L_at_x + 1e-12 * (1.0 + abs(L_at_x)):
+                        if not non_monotone:
+                            warnings.append(
+                                "augmented Lagrangian increased at "
+                                "iteration %d (undamped Jacobi)" % r)
+                        non_monotone = True
+                y_next, state = _dual_ascent(y, alpha, res_next), None
+                if inner is not None:       # the monitor of alpha="auto"
+                    mu, used_alpha = L_val - 2.0 * inner.d_value, alpha
                     for attempt in range(7):
-                        y_cand = _dual_ascent(y, used_alpha, res_next)
-                        x_next2, w2 = _primal_pass(problem, variant, x_next,
-                                                   y_cand, rho, tol_block,
-                                                   beta)
-                        cand = dual_eval(y_cand, x_next2)
-                        parts2 = _lagrangian_parts(problem, x_next2, y_cand,
-                                                   rho)
-                        mu_cand = parts2[2] - 2.0 * cand.d_value
-                        if mu_cand <= mu_prev + _MONITOR_SLACK:
-                            accepted = True
+                        state = visit(x_next, y_next)
+                        _, _, (_, _, L_cand), cand = state
+                        if cand is None or (L_cand - 2.0 * cand.d_value
+                                            <= mu + _MONITOR_SLACK):
                             break
                         if attempt < 6:
                             used_alpha *= 0.5
-                except ConvergenceError as e:
-                    termination = "inner_cap"
-                    warnings.append(
-                        "the monitor's inner solve hit its cap at "
-                        "iteration %d; the result holds the last accepted "
-                        "iterate (%s)" % (r, e))
-                    break
-                if not accepted:
-                    if not non_monotone:
-                        warnings.append(
-                            "combined gap still increased after 6 stepsize "
-                            "halvings at iteration %d" % r
-                        )
-                    non_monotone = True
-                alpha = used_alpha
-                y_next = y_cand
-                pending = (x_next2, w2, parts2)
-                record_d, record_xbar = d_cur, xbar_cur
-                mu_prev = mu_cand
-                d_cur, xbar_cur = cand.d_value, cand.x_of_y
-            else:
-                used_alpha = alpha
-                y_next = _dual_ascent(y, used_alpha, res_next)
-                record_d, record_xbar = float("nan"), None
+                            y_next = _dual_ascent(y, used_alpha, res_next)
+                    else:
+                        if not non_monotone:
+                            warnings.append(
+                                "combined gap still increased after 6 "
+                                "stepsize halvings at iteration %d" % r)
+                        non_monotone = True
+                    alpha = used_alpha
+            except ConvergenceError as e:
+                termination = "inner_cap"
+                warnings.append(
+                    "an inner solve hit its cap at iteration %d; the result "
+                    "holds the last accepted iterate (%s)" % (r, e))
+                break
             if not np.isfinite(x_next).all() or not np.isfinite(y_next).all():
                 termination = "diverged"
                 warnings.append("iterates became non-finite at iteration %d; "
                                 "the result holds the last finite one" % r)
                 break
             records.append(TraceRecord(
-                r=r,
-                L_val=L_val,
-                feas=feas,
-                step=_distance(x_next, x),
-                pg=pg_norm,
-                d_y=record_d,
-                f_val=f_val,
-                alpha=used_alpha,
-                x=_frozen(x),
-                y=_frozen(y),
-                x_next=_frozen(x_next),
-                w=None if w is None else _frozen(w),
-                xbar=record_xbar,
-            ))
+                r=r, L_val=L_val, feas=feas, step=_distance(x_next, x),
+                pg=pg_norm, f_val=f_val, alpha=alpha,
+                d_y=float("nan") if inner is None else inner.d_value,
+                xbar=None if inner is None else inner.x_of_y,
+                x=_frozen(x), y=_frozen(y), x_next=_frozen(x_next),
+                w=None if w is None else _frozen(w)))
             x, y, res = x_next, y_next, res_next
             r += 1
         if termination == "max_iters" and non_monotone:
@@ -449,7 +428,7 @@ def run(problem, config=None, init=None, **overrides):
             records=records,
             final_alpha=alpha,
             objective=_objective(problem, x),
-            feas=float(np.linalg.norm(problem.apply_E(x) - problem.q)),
+            feas=feas,
             config=config,
             beta=beta,
             tol_block=tol_block,

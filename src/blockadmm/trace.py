@@ -236,16 +236,23 @@ def _state_from_entry(entry):
     return state
 
 
+def _not_a_number(literal):
+    """Reject the NaN, Infinity and -Infinity literals, which the writer
+    never emits."""
+    raise ValueError("%s is not a finite number" % literal)
+
+
 def read_states(path):
     """Read a sidecar; returns (meta, list of per-record state dicts).
 
     Each record becomes arrays as soon as it is decoded, so the float
     lists of only one record are alive at a time. A document that is not
     an object with ``meta`` and ``records``, or a record without r,
-    alpha, x, y or x_next or with an array of non-numbers, raises
-    ValueError."""
+    alpha, x, y or x_next or with an array of non-numbers, or a NaN or
+    infinite literal anywhere, raises ValueError."""
     with open(path) as fh:
-        doc = json.load(fh, object_hook=_state_from_entry)
+        doc = json.load(fh, object_hook=_state_from_entry,
+                        parse_constant=_not_a_number)
     if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
             and isinstance(doc.get("records"), list)):
         raise ValueError("not an object with 'meta' and 'records'")

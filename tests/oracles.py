@@ -18,10 +18,14 @@ the searched region).
 ``newton_reference`` is of another kind: the active-set Newton step of
 the separable form written the plain way, with ``np.diag``, ``np.where``
 and one loop over the groups, against which the kernel's bookkeeping is
-checked.
+checked. So is ``monitored_run``: the auto-alpha rule of ``run`` as a
+plain loop that recomputes every quantity it compares, against which
+the run's carried lookahead is checked.
 """
 
 import numpy as np
+
+from blockadmm import augmented_lagrangian, minimize_lagrangian, step
 
 
 def _axis(lo, hi, step):
@@ -202,3 +206,50 @@ def newton_reference(form, H, c, u, tol, evaluate, start, max_steps=50):
             break
         u, norm, v, p = u_new, norm_new, v_new, p_new
     return u, norm, steps
+
+
+def monitored_run(problem, variant, rho, iterations, lowered=frozenset()):
+    """The alpha="auto" rule of ``run`` (default settings) as a plain
+    loop from x = 0 projected onto the domains and y = 0, for
+    ``iterations`` iterations.
+
+    Each iteration runs its primal pass x1 at (x, y), then tries the dual
+    steps y1 = y + a * (q - E x1) for a = alpha, alpha/2, ..., alpha/64,
+    with x2 the pass at (x1, y1). It commits the first candidate whose
+    L(x2; y1) - 2 d(y1) is at most L(x1; y) - 2 d(y) + 5e-10, or the
+    last one if none is, and keeps its a as alpha. d(y) is solved to the
+    monitor's tolerance from the pass at y, and taken 1 lower at the
+    dual points whose ``tobytes()`` are in ``lowered``.
+
+    Returns one (x, y, x1, a, L(x1; y), d(y), x(y)) per iteration.
+    """
+    tol = max(min(1e-10, 1e-8 / 100.0) * 10.0, 1e-11)
+
+    def dual(y, warm):
+        inner = minimize_lagrangian(problem, y, rho, tol=tol,
+                                    warm_start=warm)
+        return inner.d_value - (y.tobytes() in lowered), inner.x_of_y
+
+    def primal_pass(x, y):
+        return step(problem, variant, x, y, rho, 0.0)[0]
+
+    x = problem.project_domains(np.zeros(problem.n))
+    y = np.zeros(problem.m)
+    alpha = 0.1 * rho
+    out = []
+    for _ in range(iterations):
+        x1 = primal_pass(x, y)
+        L_val = augmented_lagrangian(problem, x1, y, rho)
+        d, xbar = dual(y, x1)
+        res = problem.apply_E(x1) - problem.q
+        for k in range(7):
+            a = alpha / 2 ** k
+            y1 = y - a * res
+            x2 = primal_pass(x1, y1)
+            if (augmented_lagrangian(problem, x2, y1, rho)
+                    - 2.0 * dual(y1, x2)[0] <= L_val - 2.0 * d + 5e-10):
+                break
+        alpha = a
+        out.append((x, y, x1, a, L_val, d, xbar))
+        x, y = x1, y1
+    return out

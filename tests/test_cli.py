@@ -522,9 +522,16 @@ def _edit_records(edit):
      "record [1, 2] is not an object"),
     (_edit_records(lambda recs: recs[3].pop("x_next")),
      "record r=3 has no 'x_next'"),
+    # json.dumps spells these NaN and Infinity, which the writer never does
+    (_edit_records(lambda recs: recs[3]["y"].__setitem__(0, float("nan"))),
+     "NaN is not a finite number"),
+    (_edit_records(lambda recs: recs[3]["x"].__setitem__(1, float("nan"))),
+     "NaN is not a finite number"),
+    (_edit_records(lambda recs: recs[3]["x"].__setitem__(1, -float("inf"))),
+     "-Infinity is not a finite number"),
 ], ids=["malformed", "not_an_object", "no_alpha", "missing_record",
         "extra_record", "short_x", "null_in_x", "record_not_an_object",
-        "no_x_next"])
+        "no_x_next", "nan_in_y", "nan_in_x", "infinity_in_x"])
 def test_diagnose_rejects_a_defective_sidecar(tmp_path, capsys, edit, named):
     # a sidecar that does not match its trace and problem is an input
     # error (exit 1), never a traceback or a solver failure (exit 2)
@@ -556,7 +563,8 @@ def test_diagnose_rejects_a_trace_without_records(tmp_path, capsys):
     ({"variant": None}, "no 'variant'"),
     ({"rho": "abc"}, "rho must be positive and finite, got 'abc'"),
     ({"rho": -1.0}, "rho must be positive and finite, got -1.0"),
-    ({"rho": float("nan")}, "rho must be positive and finite, got nan"),
+    # the sidecar's reader rejects a NaN literal before the meta check
+    ({"rho": float("nan")}, "NaN is not a finite number"),
     ({"variant": "bogus"}, "unknown variant 'bogus'"),
     ({"variant": "proximal", "beta": "abc"},
      "beta must be positive and finite, got 'abc'"),

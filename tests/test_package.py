@@ -4,6 +4,7 @@ for every setting it takes and one for every input of a nonsmooth term."""
 import importlib
 import inspect
 import re
+import time
 import types
 import warnings
 
@@ -58,8 +59,9 @@ def test_public_surface_is_pinned():
 
 
 
-# the parameter names that carry rho, a tolerance or the prox step
-_SETTINGS = {"rho", "tol", "tol_block", "tol_ref", "t"}
+# the parameter names that carry rho, a tolerance, the prox step or a
+# sampling radius
+_SETTINGS = {"rho", "tol", "tol_block", "tol_ref", "t", "radius"}
 
 
 def _setting_calls():
@@ -99,11 +101,13 @@ def _setting_calls():
             lambda rho=1.0: b.check_function_value_convergence(
                 p, [], ref, rho), ()),
         "check_dual_lipschitz": (
-            lambda rho=1.0, tol=1e-8: b.check_dual_lipschitz(
-                p, rho, n_pairs=1, tol=tol), ()),
+            lambda rho=1.0, tol=1e-8, radius=1.0: b.check_dual_lipschitz(
+                p, rho, n_pairs=1, radius=radius, tol=tol), ("radius",)),
         "estimate_error_bound_constants": (
-            lambda rho=1.0, tol=1e-10: b.estimate_error_bound_constants(
-                p, rho, ref, n_samples=1, tol=tol), ()),
+            lambda rho=1.0, tol=1e-10, radius=1.0:
+            b.estimate_error_bound_constants(
+                p, rho, ref, n_samples=1, radius=radius, tol=tol),
+            ("radius",)),
         "reference_solution": (
             lambda rho=1.0, tol_ref=1e-10: b.reference_solution(
                 p, rho, tol_ref=tol_ref), ()),
@@ -157,6 +161,73 @@ def test_every_setting_is_rejected_when_nan_infinite_or_out_of_range():
                 if miss:
                     misses.append("%s(%s=%r): %s" % (fname, name, value,
                                                       miss))
+    assert not misses, "\n".join(misses)
+
+
+# the parameter names that carry an iterate
+_ITERATES = {"x", "y", "warm_start", "init", "y0", "coupling"}
+# exports that evaluate at an iterate argument but start no inner solve
+_EVALUATE_ONLY = {"augmented_lagrangian", "proximal_gradient",
+                  "feasibility_residual", "objective"}
+
+
+def _iterate_calls():
+    """Per exported function that starts an inner solve from an iterate
+    argument: a call whose keywords are those arguments, with valid
+    defaults. The blocks have no closed-form solve."""
+    b = blockadmm
+    p = b.gen_group_l2(10, 3, 2, seed=0)
+    x, y = np.zeros(p.n), np.zeros(p.m)
+    return {
+        "minimize_lagrangian": lambda y=y, warm_start=x:
+            b.minimize_lagrangian(p, y, 1.0, warm_start=warm_start),
+        "solve_block": lambda x=x, y=y, coupling=-p.q:
+            b.solve_block(p, 0, x, y, 1.0, 1e-10, coupling=coupling),
+        "step": lambda x=x, y=y: b.step(p, "gauss_seidel", x, y, 1.0, 0.1),
+        "run": lambda init=(x, y): b.run(p, init=init, max_iters=5),
+        "reference_solution": lambda y0=y: b.reference_solution(p, 1.0,
+                                                                 y0=y0),
+    }
+
+
+def _with_one_nan(value):
+    """Each way to put one NaN entry, the first, into an iterate
+    argument: into the array, or into either array of an (x0, y0)
+    pair. (Block 0 of ``solve_block`` reads x at its own entries.)"""
+    if isinstance(value, tuple):
+        return [tuple(_with_one_nan(v)[0] if i == j else v
+                      for j, v in enumerate(value))
+                for i in range(len(value))]
+    bad = np.array(value, dtype=float)
+    bad[0] = np.nan
+    return [bad]
+
+
+def test_every_iterate_with_a_nan_entry_fails_at_once():
+    # an inner solve that starts at a NaN residual would run all 50,000
+    # FISTA iterations before its ConvergenceError
+    calls = _iterate_calls()
+    takes = {name for name, fn in vars(blockadmm).items()
+             if inspect.isfunction(fn)
+             and _ITERATES & set(inspect.signature(fn).parameters)}
+    assert set(calls) | _EVALUATE_ONLY == takes
+    misses = []
+    for fname, call in calls.items():
+        call()
+        for name, param in inspect.signature(call).parameters.items():
+            for bad in _with_one_nan(param.default):
+                start = time.perf_counter()
+                try:
+                    call(**{name: bad})
+                    outcome = "returned"
+                except (ValueError, blockadmm.ConvergenceError):
+                    outcome = None
+                except Exception as e:
+                    outcome = "%s: %s" % (type(e).__name__, e)
+                took = time.perf_counter() - start
+                if outcome or took > 0.1:
+                    misses.append("%s(%s with a NaN): %s after %.3f s"
+                                  % (fname, name, outcome, took))
     assert not misses, "\n".join(misses)
 
 

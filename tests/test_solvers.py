@@ -40,6 +40,7 @@ from blockadmm.solvers import (
 )
 from blockadmm.trace import records_equal
 from blockadmm import lagrangian, solvers
+from oracles import monitored_run
 
 
 def _mixed_problem(seed=0, m=3):
@@ -701,11 +702,12 @@ def test_run_names_a_block_solve_cap_in_the_primal_pass(monkeypatch):
     assert any("cap at iteration 2" in note for note in res.warnings)
 
 
-def _lower_lookaheads(monkeypatch, lowered):
+def _lower_lookaheads(monkeypatch, lowered, seen=None):
     """Lower d(y) by 1 in the monitor's d(y) solves whose 1-based call
-    numbers are in ``lowered``, which raises the monitored gap there.
-    Call 1 solves d(y^0); with no rejection before it, call k >= 2 is
-    the first lookahead of iteration k - 2."""
+    numbers are in ``lowered``, which raises the monitored gap there,
+    and append their dual points to ``seen``. Call 1 solves d(y^0); with
+    no rejection before it, call k >= 2 is the first lookahead of
+    iteration k - 2."""
     calls = []
     original = solvers.minimize_lagrangian
 
@@ -714,6 +716,8 @@ def _lower_lookaheads(monkeypatch, lowered):
         calls.append(args)
         if len(calls) in lowered:
             inner = replace(inner, d_value=inner.d_value - 1.0)
+            if seen is not None:
+                seen.append(args[1])
         return inner
 
     monkeypatch.setattr(solvers, "minimize_lagrangian", lowered_d)
@@ -746,6 +750,80 @@ def test_run_flags_a_gap_that_rises_after_six_halvings(monkeypatch):
                             "halvings at iteration 3"]
 
 
+def _assert_records_follow_the_plain_rule(res, plain):
+    assert len(plain) == res.iterations == len(res.records)
+    for rec, (x, y, x_next, alpha, L_val, d, xbar) in zip(res.records,
+                                                          plain):
+        for got, want in ((rec.x, x), (rec.y, y), (rec.x_next, x_next),
+                          (rec.xbar, xbar)):
+            assert np.array_equal(got, want)
+        assert (rec.alpha, rec.L_val, rec.d_y) == (alpha, L_val, d)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("make, variant, rho", [
+    (lambda seed: gen_group_l2(m=30, K=3, n_k=2, seed=seed),
+     "gauss_seidel", 1.0),
+    (lambda seed: gen_lasso(n_obs=40, n_feat=16, seed=seed), "proximal",
+     0.2),
+    (lambda seed: gen_consensus(seed=seed), "jacobi", 1.0),
+], ids=["group_l2-gs", "lasso-prox", "consensus-jacobi"])
+def test_monitor_matches_a_plain_loop_of_its_rule(make, variant, rho, seed):
+    # run carries the committed lookahead into the next iteration; the
+    # plain loop recomputes every pass and d(y) it compares, bit for bit
+    p = make(seed)
+    res = run(p, variant=variant, rho=rho, alpha="auto", max_iters=25)
+    _assert_records_follow_the_plain_rule(
+        res, monitored_run(p, variant, rho, res.iterations))
+
+
+def test_monitor_matches_a_plain_loop_of_its_rule_with_rejections(
+        monkeypatch):
+    # iteration 3's first four lookaheads are rejected, at the dual
+    # points of the run's 5th to 8th d(y) solves; the plain loop lowers
+    # d(y) at the same points
+    seen = []
+    _lower_lookaheads(monkeypatch, {5, 6, 7, 8}, seen)
+    p = _mixed_problem(seed=26)
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+              max_iters=12)
+    assert [rec.alpha for rec in res.records[2:4]] == [0.1, 0.1 / 16]
+    _assert_records_follow_the_plain_rule(res, monitored_run(
+        p, "gauss_seidel", 1.0, 12, lowered={y.tobytes() for y in seen}))
+
+
+def test_run_ends_diverged_without_an_inner_solve_at_a_non_finite_pass(
+        monkeypatch):
+    # from the 6th primal pass on (iteration 4's first lookahead) every
+    # pass is non-finite: that candidate gets no d(y) solve, is committed
+    # and ends the run at iteration 5, whose pass it is
+    passes, d_points = [], []
+    original_pass, original_d = solvers._primal_pass, \
+        solvers.minimize_lagrangian
+
+    def overflowing(*args):
+        passes.append(None)
+        x_next, w = original_pass(*args)
+        return (np.full_like(x_next, np.inf) if len(passes) >= 6
+                else x_next), w
+
+    def recorded(problem, y, rho, **kwargs):
+        d_points.append((y, kwargs["warm_start"]))
+        return original_d(problem, y, rho, **kwargs)
+
+    monkeypatch.setattr(solvers, "_primal_pass", overflowing)
+    monkeypatch.setattr(solvers, "minimize_lagrangian", recorded)
+    p = _mixed_problem(seed=26)
+    res = run(p, variant="gauss_seidel", rho=1.0, alpha="auto",
+              max_iters=50)
+    assert res.termination == "diverged"
+    assert res.iterations == 5 and len(passes) == 6 and len(d_points) == 5
+    assert all(np.isfinite(y).all() and np.isfinite(warm).all()
+               for y, warm in d_points)
+    assert np.isfinite(res.x).all() and np.isfinite(res.y).all()
+    assert "non-finite at iteration 5" in res.warnings[-1]
+
+
 def test_run_config_validation():
     p = _mixed_problem(seed=24)
     with pytest.raises(ValueError):
@@ -772,6 +850,21 @@ def test_run_config_validation():
         step(p, "sor", x, y, 1.0, 0.1)
     with pytest.raises(ValueError, match="auto"):
         step(p, "gauss_seidel", x, y, 1.0, "auto")
+    # max_iters is an integer of at least 1, alpha and beta "auto" or a
+    # number, and init holds finite entries
+    for setting, pattern in (({"max_iters": "5"}, "max_iters"),
+                             ({"max_iters": 2.5}, "max_iters"),
+                             ({"max_iters": True}, "max_iters"),
+                             ({"max_iters": 0}, "max_iters"),
+                             ({"alpha": np.array([0.1, 0.2])}, "alpha"),
+                             ({"alpha": "fast"}, "alpha"),
+                             ({"variant": "proximal",
+                               "beta": np.array([1.0, 2.0])}, "beta"),
+                             ({"init": (np.full(p.n, np.nan), y)}, "init"),
+                             ({"init": (x, np.full(p.m, np.inf))}, "init")):
+        with pytest.raises(ValueError, match=pattern):
+            run(p, **setting)
+    assert run(p, max_iters=np.int64(2)).iterations == 2
     cfg = SolverConfig(variant="gauss_seidel", rho=2.0, alpha="auto")
     res = run(p, config=cfg, max_iters=1)
     assert res.config.rho == 2.0
