@@ -1,9 +1,10 @@
 """Command-line interface: gen, solve, sweep, diagnose.
 
-Exit codes: 0 success; 1 usage or input error; 2 solver failure
-(divergence, an iteration cap, or a runtime error during the solve, the
-reference solve or the diagnosis); 3 diagnostics violation (at least one
-per-iteration check failed).
+Exit codes: 0 success; 1 usage or input error, an output path that
+cannot be written included; 2 solver failure (divergence, an iteration
+cap, or a runtime error during the solve, the reference solve or the
+diagnosis); 3 diagnostics violation (at least one per-iteration check
+failed).
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ def build_parser():
                         help="report JSON path (default: stdout)")
     p_diag.add_argument("--checks", default=None,
                         help="per-iteration check CSV path")
-    p_diag.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -122,41 +122,32 @@ def _gen_kwargs(args):
             if getattr(args, name) is not None}
 
 
-def _cmd_gen(args, parser):
-    gen = FAMILIES[args.family]
+def _checked(parser, prefix, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, with an OSError, TypeError or
+    ValueError it raises turned into a usage error (exit 1) whose message
+    follows ``prefix``: the one rule for every file the CLI reads or
+    writes and every setting it checks."""
     try:
-        problem = gen(seed=args.seed, **_gen_kwargs(args))
-    except (TypeError, ValueError) as e:
-        parser.error(str(e))
-    save_problem(problem, args.out)
+        return check(*args, **kwargs)
+    except (OSError, TypeError, ValueError) as e:
+        parser.error(prefix + str(e))
+
+
+def _cmd_gen(args, parser):
+    problem = _checked(parser, "", FAMILIES[args.family], seed=args.seed,
+                       **_gen_kwargs(args))
+    _checked(parser, "cannot write --out: ", save_problem, problem, args.out)
     return 0
 
 
-def _load_problem(path, parser):
-    try:
-        return load_problem(path)
-    except (OSError, ValueError) as e:
-        parser.error("cannot load problem from %s: %s" % (path, e))
-
-
 def _parse_float_or_auto(text, name, parser):
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        parser.error("%s must be a float or 'auto', got %r" % (name, text))
-
-
-def _check_tol_ref(tol_ref, parser):
-    try:
-        _tol_ref(tol_ref, "--tol-ref")
-    except ValueError as e:
-        parser.error(str(e))
+    return text if text == "auto" else _checked(
+        parser, "%s must be a float or 'auto': " % name, float, text)
 
 
 def _cmd_solve(args, parser):
-    problem = _load_problem(args.problem, parser)
+    problem = _checked(parser, "cannot load problem from %s: "
+                       % args.problem, load_problem, args.problem)
     config = SolverConfig(
         variant=VARIANT_NAMES[args.variant],
         rho=args.rho,
@@ -165,26 +156,25 @@ def _cmd_solve(args, parser):
         tol_outer=args.tol,
         max_iters=args.max_iters,
     )
-    try:
-        _resolve(problem, config)
-    except ValueError as e:
-        parser.error(str(e))
+    _checked(parser, "", _resolve, problem, config)
     try:
         result = run(problem, config)
     except ValueError as e:
         print("solver failed: %s" % e, file=sys.stderr)
         return 2
     if args.trace:
-        write_trace_csv(result.records, args.trace)
-        write_states(result.records, states_path_for(args.trace), meta={
-            "rho": config.rho,
-            "variant": config.variant,
-            "beta": result.beta,
-            "alpha": config.alpha,
-            "tol_outer": config.tol_outer,
-            "tol_block": result.tol_block,
-        })
-    write_json({
+        _checked(parser, "cannot write --trace: ", write_trace_csv,
+                 result.records, args.trace)
+        _checked(parser, "cannot write --trace: ", write_states,
+                 result.records, states_path_for(args.trace), meta={
+                     "rho": config.rho,
+                     "variant": config.variant,
+                     "beta": result.beta,
+                     "alpha": config.alpha,
+                     "tol_outer": config.tol_outer,
+                     "tol_block": result.tol_block,
+                 })
+    _checked(parser, "cannot write --report: ", write_json, {
         "final_alpha": result.final_alpha,
         "iterations": result.iterations,
         "termination": result.termination,
@@ -205,24 +195,21 @@ _SWEEP_COLUMNS = ("variant", "alpha", "rho", "termination", "iterations",
 
 
 def _cmd_sweep(args, parser):
-    _check_tol_ref(args.tol_ref, parser)
-    problem = _load_problem(args.problem, parser)
-    try:
-        alphas = [float(tok) for tok in args.alpha_grid.split(",") if tok]
-    except ValueError:
-        parser.error("bad --alpha-grid %r" % args.alpha_grid)
+    _checked(parser, "", _tol_ref, args.tol_ref, "--tol-ref")
+    problem = _checked(parser, "cannot load problem from %s: "
+                       % args.problem, load_problem, args.problem)
+    alphas = _checked(parser, "bad --alpha-grid %r: " % args.alpha_grid,
+                      lambda: [float(tok) for tok in
+                               args.alpha_grid.split(",") if tok])
     if not alphas:
         parser.error("--alpha-grid is empty")
     variant_keys = [tok.strip() for tok in args.variants.split(",") if tok]
     for key in variant_keys:
         if key not in VARIANT_NAMES:
             parser.error("unknown variant %r" % key)
-    try:
-        # the settings every cell shares; each cell's alpha is its own
-        _resolve(problem, SolverConfig(rho=args.rho, tol_outer=args.tol,
-                                       max_iters=args.max_iters))
-    except ValueError as e:
-        parser.error(str(e))
+    # the settings every cell shares; each cell's alpha is its own
+    _checked(parser, "", _resolve, problem, SolverConfig(
+        rho=args.rho, tol_outer=args.tol, max_iters=args.max_iters))
     try:
         reference = reference_solution(problem, args.rho,
                                        tol_ref=args.tol_ref)
@@ -256,50 +243,48 @@ def _cmd_sweep(args, parser):
                 print("sweep cell variant=%s alpha=%g failed: %s"
                       % (key, alpha, e), file=sys.stderr)
             rows.append(entry)
-    write_csv(args.out, _SWEEP_COLUMNS,
-              ([entry[c] for c in _SWEEP_COLUMNS] for entry in rows))
+    _checked(parser, "cannot write --out: ", write_csv, args.out,
+             _SWEEP_COLUMNS, ([entry[c] for c in _SWEEP_COLUMNS]
+                              for entry in rows))
     return 0
 
 
 def _cmd_diagnose(args, parser):
-    _check_tol_ref(args.tol_ref, parser)
-    problem = _load_problem(args.problem, parser)
-    try:
-        records = read_trace_csv(args.trace)
-    except (OSError, ValueError) as e:
-        parser.error("cannot read trace %s: %s" % (args.trace, e))
+    _checked(parser, "", _tol_ref, args.tol_ref, "--tol-ref")
+    problem = _checked(parser, "cannot load problem from %s: "
+                       % args.problem, load_problem, args.problem)
+    records = _checked(parser, "cannot read trace %s: " % args.trace,
+                       read_trace_csv, args.trace)
     sidecar = states_path_for(args.trace)
-    try:
-        meta, states = read_states(sidecar)
-        attach_states(records, states, problem.n, problem.m)
-    except (OSError, ValueError) as e:
-        parser.error(
-            "cannot read iterate states %s (produced by solve --trace): %s"
-            % (sidecar, e))
+    unread = ("cannot read iterate states %s (produced by solve --trace): "
+              % sidecar)
+    meta, states = _checked(parser, unread, read_states, sidecar)
+    _checked(parser, unread, attach_states, records, states, problem.n,
+             problem.m)
     if not records:
         parser.error("trace %s holds no records" % args.trace)
     for key in ("rho", "variant"):
         if key not in meta:
             parser.error("iterate states %s hold no %r in their meta; "
                          "solve --trace writes it" % (sidecar, key))
-    try:
-        beta = _resolve(problem, SolverConfig(
+    beta = _checked(
+        parser, "iterate states %s hold a bad setting in their meta: "
+        % sidecar, _resolve, problem, SolverConfig(
             variant=meta["variant"], rho=meta["rho"],
             beta=meta.get("beta")))[3]
-    except ValueError as e:
-        parser.error("iterate states %s hold a bad setting in their meta: "
-                     "%s" % (sidecar, e))
     try:
         report, rows, _ = run_diagnostics(
             problem, records, float(meta["rho"]), variant=meta["variant"],
-            beta=beta, tol_ref=args.tol_ref, seed=args.seed,
+            beta=beta, tol_ref=args.tol_ref,
         )
     except (ValueError, RuntimeError) as e:
         print("diagnosis failed: %s" % e, file=sys.stderr)
         return 2
     if args.checks:
-        write_checks_csv(rows, args.checks)
-    write_json(report.to_doc(), args.report)
+        _checked(parser, "cannot write --checks: ", write_checks_csv, rows,
+                 args.checks)
+    _checked(parser, "cannot write --report: ", write_json, report.to_doc(),
+             args.report)
     failed = [row for row in rows if not row.passed]
     if failed:
         print("%d check rows failed (first: %s at r=%d)"

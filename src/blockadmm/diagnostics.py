@@ -579,7 +579,7 @@ def _sigma_emp(records, step_floor):
 
 def run_diagnostics(problem, records, rho, variant="gauss_seidel",
                     beta=None, tol_ref=1e-10, reference=None,
-                    lipschitz_pairs=20, error_bound_samples=10, seed=0):
+                    lipschitz_pairs=20, error_bound_samples=10):
     """Full diagnosis of a recorded run: fills gaps, checks every
     inequality, and assembles the report.
 
@@ -609,12 +609,12 @@ def run_diagnostics(problem, records, rho, variant="gauss_seidel",
     y_scale = max([1.0] + [float(np.linalg.norm(rec.y)) for rec in records])
     lip = check_dual_lipschitz(problem, rho, n_pairs=lipschitz_pairs,
                                radius=0.1 * y_scale,
-                               tol=max(tol_ref * 100, 1e-9), seed=seed)
+                               tol=max(tol_ref * 100, 1e-9))
     rows.append(CheckRow(-1, "dual_lipschitz", lip.max_ratio, lip.bound,
                          0.0, lip.passed))
     err = estimate_error_bound_constants(
         problem, rho, reference, n_samples=error_bound_samples,
-        tol=max(tol_ref, 1e-10), seed=seed)
+        tol=max(tol_ref, 1e-10))
     if err.dual_upper_bound_only:
         warnings.append(
             "dual solution set may be non-unique (E^T has a nontrivial "

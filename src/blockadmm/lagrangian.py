@@ -60,7 +60,8 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve hit its iteration cap.
+    """An inner solve hit its iteration cap, or cannot start from a
+    non-finite residual or input.
 
     Carries the best iterate seen so far in ``best_x`` (and, for outer
     loops, ``best_value``) so callers can inspect or resume.
@@ -175,7 +176,7 @@ def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
     Returns (point, its residual, FISTA iterations, Newton steps); the
     iterations are 0 when the start or Newton met ``tol``. After
     ``max_iter`` iterations, or at once when the residual FISTA would
-    start from is NaN, raises ConvergenceError, naming ``what`` and
+    start from is not finite, raises ConvergenceError, naming ``what`` and
     carrying the best point and residual.
     """
     def evaluate(z):
@@ -192,8 +193,8 @@ def _newton_fista(form, H, c, grad, step, u, tol, max_iter, what,
         res_norm = _distance(u, start[1])
     if res_norm <= tol:
         return u, res_norm, 0, newton_steps
-    if np.isnan(res_norm):   # FISTA would run all max_iter iterations
-        raise ConvergenceError("%s starts at a NaN residual" % what,
+    if not np.isfinite(res_norm):   # FISTA would run all max_iter iterations
+        raise ConvergenceError("%s starts at a non-finite residual" % what,
                                best_x=u, best_value=res_norm)
     best = (res_norm, u)
     z = u
@@ -323,7 +324,8 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
     a warm start that already satisfies the tolerance returns
     immediately. A block whose subproblem Hessian is (a + rho e) * I
     with a + rho e > 0 (``scalar_curvature`` = (a, e), fixed at build) is
-    solved in closed form by a single prox. Every other block goes to
+    solved in closed form by a single prox, and raises ConvergenceError
+    when y or the coupling residual is not finite. Every other block goes to
     ``_newton_fista`` on the subproblem: with an affine smooth gradient,
     whatever the term (none, l1, box, nonneg, linear, group-l2 with or
     without a box, sparse-group), the safeguarded active-set Newton
@@ -356,6 +358,9 @@ def solve_block(problem, k, x, y, rho, tol_block, coupling=None,
         a, e = b.scalar_curvature
         eta = a + rho * e
         if eta > 0:
+            if not (np.isfinite(y).all() and np.isfinite(coupling).all()):
+                raise ConvergenceError("block %d subproblem has a non-finite "
+                                       "y or coupling residual" % k)
             return b.form.prox(-(lin0 - b.lin_smooth) / eta, 1.0 / eta)
     nu = b.nu(rho)
     if nu <= 0:

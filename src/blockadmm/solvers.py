@@ -268,7 +268,8 @@ def step(problem, variant, x, y, rho, alpha, beta=None):
     settings are checked as ``run`` checks them; alpha is a nonnegative
     float, since the monitor of alpha="auto" belongs to ``run``. Block
     solves run to the tolerance ``run`` uses at its default tol_outer,
-    and beta=None selects 1.01 * nu.
+    and beta=None selects 1.01 * nu. x and y must hold finite entries,
+    as ``run``'s ``init`` must.
     """
     auto, alpha, tol_block, beta = _resolve(problem, SolverConfig(
         variant=variant, rho=rho, alpha=alpha, beta=beta))
@@ -276,6 +277,9 @@ def step(problem, variant, x, y, rho, alpha, beta=None):
         raise ValueError("step takes a nonnegative float alpha; "
                          "alpha='auto' is run's monitored scheme")
     x, y = _vector(x, problem.n, "x"), _vector(y, problem.m, "y")
+    for name, v in (("x", x), ("y", y)):
+        if not np.isfinite(v).all():
+            raise ValueError("%s must hold finite entries" % name)
     x_next, w = _primal_pass(problem, variant, x, y, rho, tol_block, beta)
     res = problem.apply_E(x_next) - problem.q
     return x_next, _dual_ascent(y, alpha, res), w

@@ -325,6 +325,50 @@ def test_solve_rejects_a_malformed_problem_document(tmp_path, capsys, edit,
     assert not report.exists()
 
 
+_SOLVE = ["solve", "--problem", "{problem}", "--max-iters", "3"]
+_SWEEP = ["sweep", "--problem", "{problem}", "--alpha-grid", "0.1",
+          "--max-iters", "3"]
+_DIAGNOSE = ["diagnose", "--problem", "{problem}", "--trace", "{trace}"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["gen", "--family", "l1_kblock", "--m", "0"], "m and K"),
+    (["gen", "--family", "l1_kblock", "--out", "{nowhere}"], "{nowhere}"),
+    (_SOLVE + ["--rho", "nan"], "rho"),
+    (["solve", "--problem", "{missing}"], "{missing}"),
+    (_SOLVE + ["--trace", "{nowhere}"], "{nowhere}"),
+    (_SOLVE + ["--report", "{nowhere}"], "{nowhere}"),
+    (_SWEEP + ["--tol", "nan"], "tol_outer"),
+    (["sweep", "--problem", "{missing}", "--alpha-grid", "0.1"],
+     "{missing}"),
+    (_SWEEP + ["--out", "{nowhere}"], "{nowhere}"),
+    (_DIAGNOSE + ["--tol-ref", "1"], "--tol-ref"),
+    (["diagnose", "--problem", "{problem}", "--trace", "{missing}"],
+     "{missing}"),
+    (_DIAGNOSE + ["--checks", "{nowhere}"], "{nowhere}"),
+    (_DIAGNOSE + ["--report", "{nowhere}"], "{nowhere}"),
+], ids=["gen-setting", "gen-out", "solve-setting", "solve-input",
+        "solve-trace", "solve-report", "sweep-setting", "sweep-input",
+        "sweep-out", "diagnose-setting", "diagnose-input",
+        "diagnose-checks", "diagnose-report"])
+def test_every_input_error_is_a_usage_error_naming_it(tmp_path, capsys,
+                                                       argv, named):
+    # a bad setting, an input file that cannot be read and an output path
+    # that cannot be written each exit 1 with the usage line and the
+    # offending name, never with a traceback
+    problem, trace = _solve_kblock_trace(tmp_path)
+    paths = {"problem": problem, "trace": trace,
+             "missing": tmp_path / "missing.json",
+             "nowhere": tmp_path / "no_dir" / "out"}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(**paths) for arg in argv])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err
+    assert named.format(**paths) in err
+
+
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--bogus", "1"])

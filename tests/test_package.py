@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import blockadmm
+from blockadmm.solvers import VARIANTS
 
 # the names ``import blockadmm`` exports besides its submodules
 _PUBLIC = {
@@ -173,12 +174,21 @@ _EVALUATE_ONLY = {"augmented_lagrangian", "proximal_gradient",
 
 def _iterate_calls():
     """Per exported function that starts an inner solve from an iterate
-    argument: a call whose keywords are those arguments, with valid
-    defaults. The blocks have no closed-form solve."""
+    argument: calls whose keywords are those arguments, with valid
+    defaults, labelled by the function's name first. The group-l2 blocks
+    have no closed-form solve; the l1 k-block ones have one, which
+    starts no inner solve, so it checks its y and coupling residual
+    itself, and ``step`` checks its x and y for every variant."""
     b = blockadmm
     p = b.gen_group_l2(10, 3, 2, seed=0)
     x, y = np.zeros(p.n), np.zeros(p.m)
-    return {
+    c = b.gen_l1_kblock(6, 4, seed=0)
+    xc, yc = np.zeros(c.n), np.zeros(c.m)
+
+    def step_on_c(variant):
+        return lambda x=xc, y=yc: b.step(c, variant, x, y, 1.0, 0.1)
+
+    calls = {
         "minimize_lagrangian": lambda y=y, warm_start=x:
             b.minimize_lagrangian(p, y, 1.0, warm_start=warm_start),
         "solve_block": lambda x=x, y=y, coupling=-p.q:
@@ -187,7 +197,15 @@ def _iterate_calls():
         "run": lambda init=(x, y): b.run(p, init=init, max_iters=5),
         "reference_solution": lambda y0=y: b.reference_solution(p, 1.0,
                                                                  y0=y0),
+        # block 1's coupling residual reads x at block 0's entry
+        "solve_block closed form": lambda x=xc, y=yc:
+            b.solve_block(c, 1, x, y, 1.0, 1e-10),
+        "solve_block closed form, given coupling": lambda coupling=-c.q:
+            b.solve_block(c, 1, xc, yc, 1.0, 1e-10, coupling=coupling),
     }
+    calls.update(("step %s on l1 k-blocks" % variant, step_on_c(variant))
+                 for variant in VARIANTS)
+    return calls
 
 
 def _with_one_nan(value):
@@ -205,12 +223,13 @@ def _with_one_nan(value):
 
 def test_every_iterate_with_a_nan_entry_fails_at_once():
     # an inner solve that starts at a NaN residual would run all 50,000
-    # FISTA iterations before its ConvergenceError
+    # FISTA iterations before its ConvergenceError, and a closed-form
+    # block solve would return NaN
     calls = _iterate_calls()
     takes = {name for name, fn in vars(blockadmm).items()
              if inspect.isfunction(fn)
              and _ITERATES & set(inspect.signature(fn).parameters)}
-    assert set(calls) | _EVALUATE_ONLY == takes
+    assert {label.split()[0] for label in calls} | _EVALUATE_ONLY == takes
     misses = []
     for fname, call in calls.items():
         call()

@@ -660,6 +660,19 @@ def test_run_reports_divergence_with_last_finite_iterate():
                for note in res.warnings)
 
 
+def test_run_ends_inner_cap_at_once_at_an_overflowing_residual():
+    # Under alpha="auto" the same run reaches a d(y) solve whose iterates
+    # are finite but whose residual norm overflows; the solve fails at its
+    # start (iteration 510) instead of after all 50,000 FISTA iterations
+    # with an infinite residual (iteration 1022).
+    p = build_problem([Block(E=[[1.0]])] * 3, q=[1.0])
+    res = run(p, variant="jacobi_unsafe", alpha="auto", max_iters=3000)
+    assert res.termination == "inner_cap"
+    assert res.iterations < 1022
+    assert np.all(np.isfinite(res.x)) and np.all(np.isfinite(res.y))
+    assert "starts at a non-finite residual" in res.warnings[-1]
+
+
 def test_run_names_an_inner_solve_cap(monkeypatch):
     # the monitor's fifth d(y) solve is the lookahead of iteration 3
     # (iteration 0 also solves d(y^0)); make it hit its cap
